@@ -4,6 +4,7 @@ measures, filtering and estimator runs, with JSON (default) or CSV output."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -59,21 +60,29 @@ def load_state_file(path: str):
 def state_from_json(doc: dict):
     if not isinstance(doc, dict) or "n" not in doc:
         raise ParseError("state document must be an object with an 'n' field")
-    n = int(doc["n"])
+    if "amplitudes" not in doc and "matrix" not in doc:
+        raise ParseError("state document needs 'amplitudes' or 'matrix'")
+    try:
+        n = int(doc["n"])
+        if "amplitudes" in doc:
+            amps = np.array([complex(z[0], z[1]) for z in doc["amplitudes"]])
+        else:
+            m = np.array(
+                [[complex(z[0], z[1]) for z in row] for row in doc["matrix"]]
+            )
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:
+        raise ParseError("bad state document: %s" % exc) from exc
+    if n < 1:
+        raise ParseError("state document needs n >= 1")
     if "amplitudes" in doc:
-        amps = np.array([complex(z[0], z[1]) for z in doc["amplitudes"]])
         psi = PureState(n, amps)
-        if abs(psi.norm_sq - 1.0) > 1e-9:
+        if not abs(psi.norm_sq - 1.0) <= 1e-9:
             raise ParseError("pure state amplitudes are not normalized")
         return psi
-    if "matrix" in doc:
-        m = np.array(
-            [[complex(z[0], z[1]) for z in row] for row in doc["matrix"]]
-        )
-        rho = DensityMatrix(n, m, normalized=abs(np.trace(m).real - 1.0) <= 1e-8)
-        rho.validate(tol=1e-8)
-        return rho
-    raise ParseError("state document needs 'amplitudes' or 'matrix'")
+    rho = DensityMatrix(n, m)
+    rho.normalized = abs(rho.trace - 1.0) <= 1e-8
+    rho.validate(tol=1e-8)
+    return rho
 
 
 def parse_ops(spec: str, n_qubits: int) -> slocc.LocalOperation:
@@ -112,8 +121,8 @@ def parse_ops(spec: str, n_qubits: int) -> slocc.LocalOperation:
 
 def _labels(n: int):
     return [
-        "S_" + "".join(str(d) for d in stokes.unflatten_index(m, n))
-        for m in range(4**n)
+        "S_" + "".join(map(str, digits))
+        for digits in itertools.product(range(4), repeat=n)
     ]
 
 
@@ -146,6 +155,8 @@ def cmd_invariant(args):
             i, j = (int(x) for x in args.pair.split(","))
         except ValueError as exc:
             raise ParseError("bad --pair %r" % args.pair) from exc
+        if i == j:
+            raise ParseError("--pair needs two different qubits, got %r" % args.pair)
         rho = qstate.partial_trace(rho, [i, j])
     doc = _invariant_doc(rho)
     _emit(doc, args, csv_rows=sorted(doc.items()))

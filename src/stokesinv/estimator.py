@@ -13,12 +13,12 @@ from .errors import DimensionMismatch, ZeroShots
 from .qstate import as_density, kron_all
 from .stokes import (
     StokesTensor,
+    _apply_leg,
     density_from_stokes,
     hs_overlap,
     minkowski_invariant,
     spin_flip,
     stokes_tensor,
-    unflatten_index,
 )
 
 # Eigenvector columns of sigma_1..sigma_3, ordered eigenvalue +1 then -1,
@@ -28,6 +28,10 @@ _EIGBASIS = {
     2: np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
     3: np.eye(2, dtype=complex),
 }
+
+# Per-leg map from (setting, outcome) index 2*(axis - 1) + bit to Stokes digit:
+# digit 0 pools all six, digit i takes the outcome sign under setting i only.
+_DIGITS = np.vstack([np.ones(6), np.kron(np.eye(3), [1.0, -1.0])])
 
 
 @dataclass
@@ -96,20 +100,17 @@ def _setting_probs(rho, setting) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _outcome_signs(n: int) -> np.ndarray:
-    """signs[o, k] = +1/-1 for bit k (qubit k+1) of outcome index o."""
-    o = np.arange(2**n)
-    return 1.0 - 2.0 * ((o[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1)
-
-
 def tomography_simulate(
     rho, shots_per_setting: int, seed: int, infinite: bool = False
 ) -> TomographyResult:
     """Reconstruct the Stokes tensor from all 3^n full Pauli settings.
 
-    Components with identity slots pool every compatible setting. With
-    `infinite=True` (and shots_per_setting = 0) the exact outcome
-    probabilities stand in for empirical frequencies.
+    The frequencies form one tensor with a (setting, outcome) axis of size 6
+    per qubit, mapped per leg to Stokes digits by `_DIGITS`. The identity
+    digit pools the 3 settings of its leg, so a weight-w component sums
+    shots * 3^(n - w) signed outcomes and is divided once by that count.
+    With `infinite=True` (and shots_per_setting = 0) the exact outcome
+    probabilities stand in for the frequencies.
     """
     rho = as_density(rho)
     if infinite:
@@ -118,30 +119,21 @@ def tomography_simulate(
     elif shots_per_setting < 1:
         raise ZeroShots("tomography needs shots_per_setting >= 1 (or infinite mode)")
     n = rho.n_qubits
-    signs = _outcome_signs(n)
-    num = np.zeros(4**n)
-    den = np.zeros(4**n)
+    freqs = np.empty((3**n, 2**n))
     for j, setting in enumerate(itertools.product((1, 2, 3), repeat=n)):
         probs = _setting_probs(rho, setting)
         if infinite:
-            freqs = probs
-            weight = 1.0
+            freqs[j] = probs
         else:
             sub = np.random.SeedSequence([int(seed) & (2**63 - 1), j, 0])
-            counts = np.random.default_rng(sub).multinomial(shots_per_setting, probs)
-            freqs = counts.astype(float)
-            weight = float(shots_per_setting)
-        for m in range(1, 4**n):
-            digits = unflatten_index(m, n)
-            support = [k for k in range(n) if digits[k] != 0]
-            if any(setting[k] != digits[k] for k in support):
-                continue
-            prod = np.prod(signs[:, support], axis=1)
-            num[m] += float(np.dot(freqs, prod))
-            den[m] += weight
-    values = np.zeros(4**n)
+            freqs[j] = np.random.default_rng(sub).multinomial(shots_per_setting, probs)
+    t = freqs.reshape((3,) * n + (2,) * n)
+    t = t.transpose([x for k in range(n) for x in (k, n + k)]).reshape((6,) * n)
+    for k in range(n):
+        t = _apply_leg(t, _DIGITS, k)
+    pooled = kron_all([np.array([3.0, 1.0, 1.0, 1.0])] * n)
+    values = t.reshape(-1) / (max(shots_per_setting, 1) * pooled)
     values[0] = 1.0
-    values[1:] = num[1:] / den[1:]
     stokes_hat = StokesTensor(n, values)
     return TomographyResult(
         stokes_hat=stokes_hat,

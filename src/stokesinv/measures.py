@@ -20,6 +20,7 @@ from .qstate import SIGMA, PureState, as_density, partial_trace, sqrt_psd
 
 SIGMA2 = SIGMA[2]
 from .stokes import (
+    StokesTensor,
     invariant_via_spinflip,
     minkowski_invariant,
     stokes_tensor,
@@ -32,12 +33,14 @@ def polarization_sq(rho, k: int) -> float:
     rho = as_density(rho)
     if not 1 <= k <= rho.n_qubits:
         raise BadSubsystem("qubit %d out of range" % k)
-    s = stokes_tensor(rho)
+    return _polarization_sq(stokes_tensor(rho), k)
+
+
+def _polarization_sq(s: StokesTensor, k: int) -> float:
+    stride = 4 ** (s.n_qubits - k)
     total = 0.0
     for i in (1, 2, 3):
-        digits = [0] * rho.n_qubits
-        digits[k - 1] = i
-        total += s[digits] ** 2
+        total += float(s.values[i * stride]) ** 2
     return total
 
 
@@ -102,11 +105,14 @@ def three_tangle(psi: PureState) -> float:
     if psi.n_qubits != 3:
         raise WrongQubitCount("three-tangle needs 3 qubits")
     rho = psi.to_density()
-    tau = (
+    return _clip_tangle(
         bipartite_tangle(psi, 1)
         - concurrence(partial_trace(rho, [1, 2])) ** 2
         - concurrence(partial_trace(rho, [1, 3])) ** 2
     )
+
+
+def _clip_tangle(tau: float) -> float:
     if tau < -1e-8:
         raise NegativeTangle("three-tangle %g below -1e-8" % tau)
     return float(min(max(tau, 0.0), 1.0))
@@ -118,9 +124,9 @@ def purity_decomposition(rho):
     rho = as_density(rho)
     if rho.n_qubits != 2:
         raise WrongQubitCount("decomposition needs 2 qubits")
-    avg_pol_sq = 0.5 * (polarization_sq(rho, 1) + polarization_sq(rho, 2))
-    scalar = minkowski_invariant(stokes_tensor(rho))
-    return avg_pol_sq, scalar
+    s = stokes_tensor(rho)
+    avg_pol_sq = 0.5 * (_polarization_sq(s, 1) + _polarization_sq(s, 2))
+    return avg_pol_sq, minkowski_invariant(s)
 
 
 @dataclass
@@ -153,11 +159,12 @@ def measure_report(state) -> MeasureReport:
     is a PureState of the right size."""
     rho = as_density(state)
     n = rho.n_qubits
+    s = stokes_tensor(rho)
     rep = MeasureReport(
         purity=rho.purity(),
         linearized_entropy=linearized_entropy(rho),
-        per_qubit_polarization_sq=[polarization_sq(rho, k) for k in range(1, n + 1)],
-        stokes_scalar=minkowski_invariant(stokes_tensor(rho)),
+        per_qubit_polarization_sq=[_polarization_sq(s, k) for k in range(1, n + 1)],
+        stokes_scalar=minkowski_invariant(s),
     )
     if n == 2:
         rep.concurrence = concurrence(rho)
@@ -177,9 +184,10 @@ def ckw_report(psi: PureState) -> dict:
     """Pair invariants, pair concurrences, one-vs-rest tangles and the
     three-tangle of a pure three-qubit state, with the monogamy residuals.
 
-    Every quantity is computed by its own route (pair invariants via the
-    spin-flip overlap on reduced pairs, concurrences via Wootters, bipartite
-    tangles via reduced purities) so the identities are genuine checks.
+    Pair invariants (spin-flip overlap on reduced pairs), concurrences
+    (Wootters) and bipartite tangles (reduced purities) each take their own
+    route, so the identities are genuine checks; the three-tangle is
+    C2_A(BC) - C2_AB - C2_AC from those values.
     """
     if psi.n_qubits != 3:
         raise WrongQubitCount("ckw report needs 3 qubits")
@@ -192,7 +200,7 @@ def ckw_report(psi: PureState) -> dict:
     for name, cut in _CUTS.items():
         others = "".join(c for c in "ABC" if c != name)
         rep["C2_%s(%s)" % (name, others)] = bipartite_tangle(psi, cut)
-    rep["tau_ABC"] = three_tangle(psi)
+    rep["tau_ABC"] = _clip_tangle(rep["C2_A(BC)"] - rep["C2_AB"] - rep["C2_AC"])
 
     # one-vs-rest vs pair-invariant sums, and per-pair monogamy residuals
     rep["residual_A"] = rep["S2_AB"] + rep["S2_AC"] - rep["C2_A(BC)"]

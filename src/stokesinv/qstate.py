@@ -41,10 +41,6 @@ def is_psd(m: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) >= -tol)
 
 
-def trace_is(m: np.ndarray, x: float, tol: float = 1e-10) -> bool:
-    return bool(abs(np.trace(m) - x) <= tol)
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with the left factor most significant."""
     return np.kron(a, b)
@@ -123,10 +119,6 @@ class DensityMatrix:
             )
 
     @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-    @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
@@ -163,14 +155,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if not keep or keep[0] < 1 or keep[-1] > n:
         raise BadSubsystem("keep=%r invalid for %d qubits" % (keep, n))
     t = rho.matrix.reshape((2,) * (2 * n))
-    letters = "abcdefghijklmnopqrst"
-    row = list(letters[:n])
-    col = list(letters[n : 2 * n])
-    for k in range(1, n + 1):
-        if k not in keep:
-            col[k - 1] = row[k - 1]
-    out = "".join(row[k - 1] for k in keep) + "".join(col[k - 1] for k in keep)
-    sub = np.einsum("".join(row) + "".join(col) + "->" + out, t)
+    # axes: qubit k+1's row is k, its column n+k, or k again when traced out
+    col = [n + k if k + 1 in keep else k for k in range(n)]
+    out = [k - 1 for k in keep] + [n + k - 1 for k in keep]
+    sub = np.einsum(t, list(range(n)) + col, out)
     m = len(keep)
     return DensityMatrix(m, sub.reshape(2**m, 2**m), normalized=rho.normalized)
 
@@ -230,6 +218,8 @@ def schmidt_pair(theta: float) -> PureState:
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
+    if n < 1:
+        raise BadStateName("mixed needs n >= 1")
     d = 2**n
     return DensityMatrix(n, np.eye(d, dtype=complex) / d)
 

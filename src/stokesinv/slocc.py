@@ -13,10 +13,9 @@ from .errors import (
     NotUnimodular,
     ParseError,
 )
-from .qstate import SIGMA, DensityMatrix, as_density, kron_all
+from .qstate import DensityMatrix, as_density, kron_all
+from .stokes import _BWD, _FWD
 from .stokes import StokesTensor, _apply_leg, minkowski_invariant, stokes_tensor
-
-MINKOWSKI_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(eq=False)
@@ -35,10 +34,6 @@ class LocalOperation:
 
     def __len__(self):
         return len(self.ops)
-
-    def is_unitary(self, k: int, tol: float = 1e-9) -> bool:
-        o = self.ops[k]
-        return bool(np.max(np.abs(o.conj().T @ o - np.eye(2))) <= tol)
 
     def full_matrix(self) -> np.ndarray:
         return kron_all(self.ops)
@@ -83,16 +78,12 @@ class FilterReport:
 
 def lorentz_of(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """4x4 Lorentz matrix induced by a det-1 operator:
-    L[mu, nu] = Tr(sigma_mu a sigma_nu a^dagger) / 2."""
+    L[mu, nu] = Tr(sigma_mu a sigma_nu a^dagger) / 2, i.e. rho -> a rho a^dagger
+    (kron(a, conj(a)) on row-major flattened rho) between one leg's Stokes maps."""
     a = np.asarray(a, dtype=complex)
     if abs(np.linalg.det(a) - 1.0) > tol:
         raise NotUnimodular("det = %s is not 1" % np.linalg.det(a))
-    adag = a.conj().T
-    l = np.empty((4, 4))
-    for mu in range(4):
-        for nu in range(4):
-            l[mu, nu] = 0.5 * np.trace(SIGMA[mu] @ a @ SIGMA[nu] @ adag).real
-    return l
+    return (_FWD @ np.kron(a, a.conj()) @ _BWD).real
 
 
 def apply_local_to_density(rho, op: LocalOperation) -> DensityMatrix:

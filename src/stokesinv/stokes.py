@@ -49,28 +49,11 @@ def flatten_index(digits) -> int:
     return m
 
 
-def unflatten_index(m: int, n: int):
-    digits = []
-    for _ in range(n):
-        digits.append(m % 4)
-        m //= 4
-    return tuple(reversed(digits))
-
-
-def index_weight(m: int, n: int) -> int:
-    """Number of nonzero digits of the multi-index."""
-    return sum(1 for d in unflatten_index(m, n) if d != 0)
-
-
 @functools.lru_cache(maxsize=None)
 def _sign_vector(n: int) -> np.ndarray:
     """(-1)^weight over the flattened multi-index, as a tensor-power of
     (1, -1, -1, -1)."""
-    s = np.array([1.0])
-    leg = np.array([1.0, -1.0, -1.0, -1.0])
-    for _ in range(n):
-        s = np.kron(s, leg)
-    return s
+    return kron_all([np.array([1.0, -1.0, -1.0, -1.0])] * n)
 
 
 def _to_pair_tensor(matrix: np.ndarray, n: int) -> np.ndarray:
@@ -135,12 +118,14 @@ def euclidean_purity(s: StokesTensor) -> float:
 
 
 def spin_flip(rho) -> DensityMatrix:
-    """rho -> (sigma_y^xn) conj(rho) (sigma_y^xn)."""
+    """rho -> (sigma_y^xn) conj(rho) (sigma_y^xn). sigma_y^xn is a signed
+    anti-diagonal permutation, so entry (r, c) is conj(rho) with rows and
+    columns reversed, times (-1)^(popcount r + popcount c)."""
     rho = as_density(rho)
-    f = kron_all([SIGMA[2]] * rho.n_qubits)
-    return DensityMatrix(
-        rho.n_qubits, f @ rho.matrix.conj() @ f, normalized=rho.normalized
-    )
+    sign = kron_all([np.array([1.0, -1.0])] * rho.n_qubits)
+    out = rho.matrix.conj()[::-1, ::-1] * sign[:, None]
+    out *= sign
+    return DensityMatrix(rho.n_qubits, out, normalized=rho.normalized)
 
 
 def hs_overlap(a, b) -> float:

@@ -85,3 +85,50 @@ def lorentz_bruteforce(a):
                 0.5 * np.trace(PAULIS[mu] @ a @ PAULIS[nu] @ a.conj().T).real
             )
     return l
+
+
+# Eigenvector columns of sigma_1..sigma_3, eigenvalue +1 first.
+EIGBASIS = {
+    1: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    2: np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
+    3: I2,
+}
+
+
+def tomography_bruteforce(rho, n, shots, seed, infinite=False):
+    """Pauli tomography one component at a time: every Stokes component sums
+    the signed outcomes of each compatible setting in its own loop. Draws
+    and probabilities follow the library's seeding exactly, so finite-shot
+    values must agree bit for bit."""
+    import itertools
+
+    settings = list(itertools.product((1, 2, 3), repeat=n))
+    outcomes = list(itertools.product((0, 1), repeat=n))
+    components = list(itertools.product(range(4), repeat=n))
+    num = np.zeros(4**n)
+    den = np.zeros(4**n)
+    for j, setting in enumerate(settings):
+        u = kron_chain([EIGBASIS[a] for a in setting])
+        probs = np.real(np.einsum("ij,jk,ki->i", u.conj().T, rho, u))
+        probs = np.clip(probs, 0.0, None)
+        probs = probs / probs.sum()
+        if infinite:
+            freqs, weight = probs, 1.0
+        else:
+            sub = np.random.SeedSequence([int(seed) & (2**63 - 1), j, 0])
+            freqs = np.random.default_rng(sub).multinomial(shots, probs).astype(float)
+            weight = float(shots)
+        for m, digits in enumerate(components):
+            if m == 0:
+                continue
+            support = [k for k in range(n) if digits[k] != 0]
+            if any(setting[k] != digits[k] for k in support):
+                continue
+            prod = np.array(
+                [(-1.0) ** sum(bits[k] for k in support) for bits in outcomes]
+            )
+            num[m] += float(np.dot(freqs, prod))
+            den[m] += weight
+    values = np.ones(4**n)
+    values[1:] = num[1:] / den[1:]
+    return values

@@ -151,3 +151,41 @@ class TestErrors:
         code, _, err = run(capsys, "invariant", "--state", str(path))
         assert code == 4
         assert json.loads(err)["error"] == "NotPositiveSemidefinite"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 1, "amplitudes": [[1.0], [0.0, 0.0]]},
+            {"n": 1, "amplitudes": [1.0, 0.0]},
+            {"n": "x", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+            {"n": 1, "matrix": [[[1.0, 0.0], [0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+            {"n": 1, "matrix": [[1.0, 0.0], [0.0, 0.0]]},
+            {"n": 1, "matrix": []},
+            {"n": 0, "amplitudes": [[1.0, 0.0]]},
+            {"n": 1, "amplitudes": [[float("nan"), 0.0], [0.0, 0.0]]},
+        ],
+    )
+    def test_bad_state_document(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "invariant", "--state", str(path))
+        assert code == 2
+        assert json.loads(err)["code"] == 2
+
+    def test_repeated_pair(self, capsys):
+        code, out, err = run(capsys, "invariant", "--state", "bell:phi+", "--pair", "1,1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("spec", ["mixed:max:0", "mixed:max:-1"])
+    def test_empty_mixed_state(self, capsys, spec):
+        code, _, err = run(capsys, "invariant", "--state", spec)
+        assert code == 2
+        assert json.loads(err)["error"] == "BadStateName"
+
+    def test_pair_of_eleven_qubits(self, capsys):
+        code, out, _ = run(capsys, "invariant", "--state", "ghz:11", "--pair", "1,2")
+        assert code == 0
+        assert json.loads(out)["invariant"] == pytest.approx(0.5, abs=1e-12)

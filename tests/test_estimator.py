@@ -4,6 +4,8 @@ import pytest
 from stokesinv import estimator, qstate, stokes
 from stokesinv.errors import DimensionMismatch, ZeroShots
 
+from oracles import tomography_bruteforce
+
 
 def bell():
     return qstate.bell_state("phi+").to_density()
@@ -69,6 +71,23 @@ class TestTomography:
             assert res.invariant_hat == pytest.approx(
                 stokes.minkowski_invariant(exact), abs=1e-10
             )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_bruteforce(self, n):
+        for rank, seed, shots in ((1, 3, 1), (2, 8, 250), (2**n, 21, 4000)):
+            rho = qstate.random_mixed(n, rank, 900 + seed)
+            res = estimator.tomography_simulate(rho, shots, seed)
+            want = tomography_bruteforce(rho.matrix, n, shots, seed)
+            assert np.array_equal(res.stokes_hat.values, want)
+            assert res.invariant_hat == stokes.minkowski_invariant(
+                stokes.StokesTensor(n, want)
+            )
+            assert res.psd_ok == stokes.density_from_stokes(
+                stokes.StokesTensor(n, want)
+            ).psd_ok
+            inf = estimator.tomography_simulate(rho, 0, seed, infinite=True)
+            want = tomography_bruteforce(rho.matrix, n, 0, seed, infinite=True)
+            assert np.max(np.abs(inf.stokes_hat.values - want)) <= 1e-15
 
     def test_bell_finite_shots(self):
         res = estimator.tomography_simulate(bell(), 10**4, 42)

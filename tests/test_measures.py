@@ -209,6 +209,33 @@ class TestCkwReport:
                 assert abs(rep["residual_" + key]) < 1e-8
 
 
+class TestSharedIntermediates:
+    """Reports that reuse one Stokes tensor or one set of pair concurrences
+    give bit for bit the numbers of the standalone functions."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_measure_report_matches_standalone(self, n):
+        rho = qstate.random_mixed(n, 2, 1500 + n)
+        rep = measures.measure_report(rho)
+        s = stokes.stokes_tensor(rho)
+        assert rep.per_qubit_polarization_sq == [
+            measures.polarization_sq(rho, k) for k in range(1, n + 1)
+        ]
+        assert rep.stokes_scalar == stokes.minkowski_invariant(s)
+        if n == 2:
+            avg, scalar = measures.purity_decomposition(rho)
+            assert avg == 0.5 * (
+                measures.polarization_sq(rho, 1) + measures.polarization_sq(rho, 2)
+            )
+            assert scalar == rep.stokes_scalar
+
+    def test_ckw_tangle_matches_three_tangle(self):
+        for psi in [qstate.ghz_state(3), qstate.w_state(3)] + [
+            qstate.random_pure(3, 1600 + seed) for seed in range(10)
+        ]:
+            assert measures.ckw_report(psi)["tau_ABC"] == measures.three_tangle(psi)
+
+
 class TestLocalUnitaryInvariance:
     def test_all_measures(self):
         for seed in range(20):

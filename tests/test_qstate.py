@@ -123,6 +123,14 @@ class TestPartialTrace:
         expl[0, 0] += 1 / 3
         assert np.max(np.abs(got - expl)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_bruteforce_exactly(self, n):
+        rho = qstate.random_mixed(n, 2, 150 + n)
+        for keep in ([1], [n], [1, n], list(range(1, n + 1, 2)), list(range(1, n + 1))):
+            keep = sorted(set(keep))
+            got = qstate.partial_trace(rho, keep).matrix
+            assert np.array_equal(got, partial_trace_bruteforce(rho.matrix, n, keep))
+
     def test_trace_preserved(self):
         rho = qstate.random_mixed(4, 5, 11)
         for keep in ([1], [2, 4], [1, 2, 3]):

@@ -41,6 +41,11 @@ class TestLorentzOf:
         assert np.max(np.abs(l - lorentz_bruteforce(a))) < 1e-12
         assert np.allclose(l, np.diag([1.0, 1.0, -1.0, -1.0]))
 
+    def test_matches_bruteforce(self):
+        for seed in range(50):
+            a = qstate.random_sl2c(seed)
+            assert np.max(np.abs(slocc.lorentz_of(a) - lorentz_bruteforce(a))) <= 1e-14
+
     def test_metric_preserved(self):
         for seed in range(50):
             l = slocc.lorentz_of(qstate.random_sl2c(seed))

@@ -130,6 +130,12 @@ class TestSpinFlip:
         rho = qstate.maximally_mixed(2)
         assert np.max(np.abs(stokes.spin_flip(rho).matrix - rho.matrix)) < 1e-15
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_bruteforce_exactly(self, n):
+        rho = qstate.random_mixed(n, 2, 420 + n)
+        want = spin_flip_bruteforce(rho.matrix, n)
+        assert np.array_equal(stokes.spin_flip(rho).matrix, want)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_involution_and_hermiticity(self, n):
         rho = qstate.random_mixed(n, 2, 400 + n)
