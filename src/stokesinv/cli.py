@@ -79,6 +79,8 @@ def state_from_json(doc: dict):
         if not abs(psi.norm_sq - 1.0) <= 1e-9:
             raise ParseError("pure state amplitudes are not normalized")
         return psi
+    if not np.all(np.isfinite(m)):
+        raise ParseError("state document has a non-finite matrix entry")
     rho = DensityMatrix(n, m)
     rho.normalized = abs(rho.trace - 1.0) <= 1e-8
     rho.validate(tol=1e-8)
@@ -98,8 +100,8 @@ def parse_ops(spec: str, n_qubits: int) -> slocc.LocalOperation:
             a2 = float(val)
         except (IndexError, ValueError) as exc:
             raise ParseError("bad ops spec %r: %s" % (spec, exc)) from exc
-        if a2 <= 0:
-            raise ParseError("boost needs a2 > 0")
+        if not 0.0 < a2 < np.inf:
+            raise ParseError("boost needs 0 < a2 < inf")
         if not 1 <= k <= n_qubits:
             raise ParseError("boost qubit %d out of range" % k)
         a = np.sqrt(a2)

@@ -13,7 +13,7 @@ from .errors import DimensionMismatch, ZeroShots
 from .qstate import as_density, kron_all
 from .stokes import (
     StokesTensor,
-    _apply_leg,
+    _apply_legs,
     density_from_stokes,
     hs_overlap,
     minkowski_invariant,
@@ -128,11 +128,9 @@ def tomography_simulate(
             sub = np.random.SeedSequence([int(seed) & (2**63 - 1), j, 0])
             freqs[j] = np.random.default_rng(sub).multinomial(shots_per_setting, probs)
     t = freqs.reshape((3,) * n + (2,) * n)
-    t = t.transpose([x for k in range(n) for x in (k, n + k)]).reshape((6,) * n)
-    for k in range(n):
-        t = _apply_leg(t, _DIGITS, k)
+    t = t.transpose([x for k in range(n) for x in (k, n + k)])
     pooled = kron_all([np.array([3.0, 1.0, 1.0, 1.0])] * n)
-    values = t.reshape(-1) / (max(shots_per_setting, 1) * pooled)
+    values = _apply_legs(t, [_DIGITS] * n) / (max(shots_per_setting, 1) * pooled)
     values[0] = 1.0
     stokes_hat = StokesTensor(n, values)
     return TomographyResult(

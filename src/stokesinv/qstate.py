@@ -131,7 +131,7 @@ class DensityMatrix:
             raise NonHermitianInput("normalized density matrix has trace != 1")
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
 
     def to_json_dict(self) -> dict:
         return {

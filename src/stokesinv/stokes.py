@@ -70,9 +70,13 @@ def _from_pair_tensor(t: np.ndarray, n: int) -> np.ndarray:
     return t.transpose(perm).reshape(2**n, 2**n)
 
 
-def _apply_leg(t: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, t, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+def _apply_legs(t: np.ndarray, mats) -> np.ndarray:
+    """Contract mats[k] onto leg k of t, leg 0 most significant; returns it flat.
+    Each pass maps the leading leg and writes it last, contiguous, so the legs
+    end in their original order and BLAS reads the transposed operand as is."""
+    for m in mats:
+        t = t.reshape(m.shape[1], -1).T @ m.T
+    return t.reshape(-1)
 
 
 def stokes_tensor(rho) -> StokesTensor:
@@ -80,26 +84,20 @@ def stokes_tensor(rho) -> StokesTensor:
     Stokes tensor S[i1..in] = Tr(rho sigma_i1 x ... x sigma_in)."""
     rho = as_density(rho)
     n = rho.n_qubits
-    t = _to_pair_tensor(rho.matrix, n)
-    for k in range(n):
-        t = _apply_leg(t, _FWD, k)
-    flat = t.reshape(-1)
+    flat = _apply_legs(_to_pair_tensor(rho.matrix, n), [_FWD] * n)
     resid = float(np.max(np.abs(flat.imag))) if flat.size else 0.0
     if resid > IMAG_TOL:
         raise NonHermitianInput(
             "Stokes component has imaginary residue %g" % resid
         )
-    return StokesTensor(n, flat.real)
+    return StokesTensor(n, flat.real.copy())  # no view pinning the complex buffer
 
 
 def density_from_stokes(s: StokesTensor) -> DensityMatrix:
     """Inverse of `stokes_tensor`. The result is Hermitian by construction but
     not necessarily PSD for arbitrary input; `psd_ok` records the check."""
     n = s.n_qubits
-    t = s.values.reshape((4,) * n).astype(complex)
-    for k in range(n):
-        t = _apply_leg(t, _BWD, k)
-    m = _from_pair_tensor(t, n)
+    m = _from_pair_tensor(_apply_legs(s.values.astype(complex), [_BWD] * n), n)
     rho = DensityMatrix(n, m, normalized=abs(np.trace(m).real - 1.0) <= 1e-10)
     herm = 0.5 * (m + m.conj().T)
     rho.psd_ok = bool(np.min(np.linalg.eigvalsh(herm)) >= -1e-10)
@@ -133,7 +131,7 @@ def hs_overlap(a, b) -> float:
     a, b = as_density(a), as_density(b)
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatch("overlap of %d- and %d-qubit states" % (a.n_qubits, b.n_qubits))
-    val = np.trace(a.matrix @ b.matrix)
+    val = np.einsum("ij,ji->", a.matrix, b.matrix)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise NonHermitianInput("overlap has imaginary part %g" % val.imag)
     return float(val.real)

@@ -132,3 +132,17 @@ def tomography_bruteforce(rho, n, shots, seed, infinite=False):
     values = np.ones(4**n)
     values[1:] = num[1:] / den[1:]
     return values
+
+
+def apply_legs_reference(t, mats):
+    """One tensordot per leg, the mapped axis moved back in place."""
+    t = t.reshape([m.shape[1] for m in mats])
+    for k, m in enumerate(mats):
+        t = np.moveaxis(np.tensordot(m, t, axes=([1], [k])), 0, k)
+    return t.reshape(-1)
+
+
+def apply_local_bruteforce(rho, ops):
+    """(A1 x ... x An) rho (A1 x ... x An)^dagger with the full operator."""
+    full = kron_chain(ops)
+    return full @ rho @ full.conj().T

@@ -165,6 +165,7 @@ class TestMalformedInput:
             {"n": 1, "matrix": []},
             {"n": 0, "amplitudes": [[1.0, 0.0]]},
             {"n": 1, "amplitudes": [[float("nan"), 0.0], [0.0, 0.0]]},
+            {"n": 1, "matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
         ],
     )
     def test_bad_state_document(self, capsys, tmp_path, doc):
@@ -173,6 +174,28 @@ class TestMalformedInput:
         code, _, err = run(capsys, "invariant", "--state", str(path))
         assert code == 2
         assert json.loads(err)["code"] == 2
+
+    @pytest.mark.parametrize(
+        "ops, code",
+        [
+            ("boost:1:a2=nan", 2),
+            ("boost:1:a2=inf", 2),
+            ("boost:1:a2=1e-300", 3),
+        ],
+    )
+    def test_bad_filter(self, capsys, ops, code):
+        got, out, err = run(capsys, "filter", "--state", "bell:phi+", "--ops", ops)
+        assert got == code and out == ""
+        assert json.loads(err)["code"] == code
+
+    def test_non_finite_ops_file(self, capsys, tmp_path):
+        path = tmp_path / "ops.json"
+        eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        nan = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        path.write_text(json.dumps({"ops": [nan, eye]}))
+        code, out, err = run(capsys, "filter", "--state", "bell:phi+", "--ops", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
 
     def test_repeated_pair(self, capsys):
         code, out, err = run(capsys, "invariant", "--state", "bell:phi+", "--pair", "1,1")

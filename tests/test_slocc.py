@@ -6,9 +6,11 @@ from stokesinv.errors import (
     DimensionMismatch,
     EnsembleAnnihilated,
     NotUnimodular,
+    OutOfRange,
+    ParseError,
 )
 
-from oracles import lorentz_bruteforce
+from oracles import apply_local_bruteforce, lorentz_bruteforce
 
 G = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -101,6 +103,29 @@ class TestApplyLocalToDensity:
             slocc.apply_local_to_density(
                 qstate.maximally_mixed(2), slocc.LocalOperation([np.eye(2)])
             )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_matches_full_operator(self, n):
+        rho = qstate.random_mixed(n, 2, 700 + n)
+        ops = [qstate.random_sl2c(710 + 10 * n + k) for k in range(n)]
+        out = slocc.apply_local_to_density(rho, slocc.LocalOperation(ops)).matrix
+        want = apply_local_bruteforce(rho.matrix, ops)
+        assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_single_boost_bit_identical(self, n):
+        # the `filter` CLI case: one diagonal boost, identity elsewhere
+        rho = qstate.random_mixed(n, 2, 730 + n)
+        for k in range(n):
+            ops = [np.eye(2, dtype=complex)] * n
+            ops[k] = boost_op()
+            out = slocc.apply_local_to_density(rho, slocc.LocalOperation(ops))
+            assert np.array_equal(out.matrix, apply_local_bruteforce(rho.matrix, ops))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_operator(self, bad):
+        with pytest.raises(ParseError):
+            slocc.LocalOperation([np.array([[bad, 0], [0, 1]], dtype=complex)])
 
 
 class TestApplyLorentzToStokes:
@@ -200,6 +225,16 @@ class TestFilterState:
             slocc.filter_state(
                 qstate.maximally_mixed(1),
                 slocc.LocalOperation([0.5 * np.eye(2, dtype=complex)]),
+            )
+
+    @pytest.mark.parametrize("a2", [1e-300, 1e-320])
+    def test_attenuation_beyond_float_range(self, a2):
+        # 1e-300: the attenuation 5e299 is finite but its square is not;
+        # 1e-320: the filtered state itself overflows
+        a = np.diag([a2**0.5, a2**-0.5]).astype(complex)
+        with pytest.raises(OutOfRange):
+            slocc.filter_state(
+                qstate.bell_state("phi+"), slocc.LocalOperation([a, np.eye(2)])
             )
 
     def test_conditional_monotonicity(self):

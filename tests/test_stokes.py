@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from stokesinv import qstate, stokes
+from stokesinv import estimator, qstate, stokes
 from stokesinv.errors import BadLength, DimensionMismatch
 
 from oracles import (
+    apply_legs_reference,
     minkowski_bruteforce,
     spin_flip_bruteforce,
     stokes_tensor_bruteforce,
@@ -13,6 +14,30 @@ from oracles import (
 
 def bell():
     return qstate.bell_state("phi+").to_density()
+
+
+class TestApplyLegs:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "m", [stokes._FWD, stokes._BWD, estimator._DIGITS], ids=["FWD", "BWD", "DIGITS"]
+    )
+    def test_library_maps_bit_identical(self, n, m):
+        rng = np.random.default_rng(600 + n)
+        shape = (m.shape[1],) * n
+        t = rng.standard_normal(shape)
+        if m.dtype == complex:
+            t = t + 1j * rng.standard_normal(shape)
+        got = stokes._apply_legs(t, [m] * n)
+        assert np.array_equal(got, apply_legs_reference(t, [m] * n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_random_real_maps(self, n):
+        rng = np.random.default_rng(650 + n)
+        t = rng.standard_normal((4,) * n)
+        mats = [rng.standard_normal((4, 4)) for _ in range(n)]
+        want = apply_legs_reference(t, mats)
+        got = stokes._apply_legs(t, mats)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestStokesTensor:
