@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import estimator, measures, qstate, slocc, stokes
-from .errors import ParseError, StokesInvError, WrongQubitCount
+from .errors import OutOfRange, ParseError, StokesInvError, WrongQubitCount
 from .qstate import DensityMatrix, PureState
 
 
@@ -82,6 +82,9 @@ def state_from_json(doc: dict):
     if not np.all(np.isfinite(m)):
         raise ParseError("state document has a non-finite matrix entry")
     rho = DensityMatrix(n, m)
+    # keeps sum S^2 = 2^n Tr rho^2 <= 2^n (Tr rho)^2, Tr rho^2 and Tr rho rho~ finite
+    if rho.trace >= np.sqrt(np.finfo(float).max / 2**n):
+        raise OutOfRange("density matrix trace %g overflows its Stokes norms" % rho.trace)
     rho.normalized = abs(rho.trace - 1.0) <= 1e-8
     rho.validate(tol=1e-8)
     return rho

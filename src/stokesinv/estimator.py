@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,13 +43,7 @@ class EstimateReport:
     exact: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "shots": self.shots,
-            "std_error": self.std_error,
-            "seed": self.seed,
-            "exact": self.exact,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)

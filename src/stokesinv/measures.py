@@ -4,7 +4,7 @@ three-tangle, and the pair-invariant report for three-qubit pure states."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -141,16 +141,7 @@ class MeasureReport:
     eof: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "purity": self.purity,
-            "linearized_entropy": self.linearized_entropy,
-            "per_qubit_polarization_sq": self.per_qubit_polarization_sq,
-            "stokes_scalar": self.stokes_scalar,
-            "concurrence": self.concurrence,
-            "tangle": self.tangle,
-            "three_tangle": self.three_tangle,
-            "eof": self.eof,
-        }
+        return asdict(self)
 
 
 def measure_report(state) -> MeasureReport:
@@ -160,9 +151,10 @@ def measure_report(state) -> MeasureReport:
     rho = as_density(state)
     n = rho.n_qubits
     s = stokes_tensor(rho)
+    purity = rho.purity()
     rep = MeasureReport(
-        purity=rho.purity(),
-        linearized_entropy=linearized_entropy(rho),
+        purity=purity,
+        linearized_entropy=1.0 - purity,
         per_qubit_polarization_sq=[_polarization_sq(s, k) for k in range(1, n + 1)],
         stokes_scalar=minkowski_invariant(s),
     )

@@ -7,7 +7,8 @@ factor, i.e. the most significant bit of the computational-basis index.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .errors import (
     BadSubsystem,
     NonHermitianInput,
     NotPositiveSemidefinite,
+    OutOfRange,
 )
 
 SIGMA = np.array(
@@ -35,10 +37,13 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
+def _min_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of m."""
+    return float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+
+
 def is_psd(m: np.ndarray, tol: float = 1e-10) -> bool:
-    if not is_hermitian(m, tol):
-        return False
-    return bool(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) >= -tol)
+    return is_hermitian(m, tol) and _min_eigenvalue(m) >= -tol
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,7 +113,6 @@ class DensityMatrix:
     n_qubits: int
     matrix: np.ndarray
     normalized: bool = True
-    psd_ok: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -122,10 +126,15 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
+    @property
+    def psd_ok(self) -> bool:
+        """Hermitian part PSD within 1e-10, recomputed (O(8^n)) on every read."""
+        return _min_eigenvalue(self.matrix) >= -1e-10
+
     def validate(self, tol: float = 1e-10) -> None:
         if not is_hermitian(self.matrix, tol):
             raise NonHermitianInput("density matrix not Hermitian")
-        if np.min(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))) < -tol:
+        if _min_eigenvalue(self.matrix) < -tol:
             raise NotPositiveSemidefinite("density matrix has a negative eigenvalue")
         if self.normalized and abs(self.trace - 1.0) > tol:
             raise NonHermitianInput("normalized density matrix has trace != 1")
@@ -166,6 +175,14 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # Named states
 
+def _checked_dim(n: int) -> int:
+    """2^n, refused before any allocation when the 16*4^n-byte density
+    matrix of n qubits would exceed this machine's physical memory."""
+    if 16 * 4**n > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise OutOfRange("%d qubits: a 16*4^%d-byte density matrix exceeds physical memory" % (n, n))
+    return 2**n
+
+
 _BELL = {
     "phi+": [1, 0, 0, 1],
     "phi-": [1, 0, 0, -1],
@@ -184,7 +201,7 @@ def bell_state(kind: str) -> PureState:
 def ghz_state(n: int) -> PureState:
     if n < 2:
         raise BadStateName("ghz needs n >= 2")
-    v = np.zeros(2**n, dtype=complex)
+    v = np.zeros(_checked_dim(n), dtype=complex)
     v[0] = v[-1] = 1 / np.sqrt(2)
     return PureState(n, v)
 
@@ -192,7 +209,7 @@ def ghz_state(n: int) -> PureState:
 def w_state(n: int) -> PureState:
     if n < 2:
         raise BadStateName("w needs n >= 2")
-    v = np.zeros(2**n, dtype=complex)
+    v = np.zeros(_checked_dim(n), dtype=complex)
     for k in range(n):
         v[1 << k] = 1 / np.sqrt(n)
     return PureState(n, v)
@@ -202,7 +219,7 @@ def basis_state(bits: str) -> PureState:
     if not bits or any(c not in "01" for c in bits):
         raise BadStateName("basis bitstring must be nonempty over {0,1}")
     n = len(bits)
-    v = np.zeros(2**n, dtype=complex)
+    v = np.zeros(_checked_dim(n), dtype=complex)
     v[int(bits, 2)] = 1.0
     return PureState(n, v)
 
@@ -220,7 +237,7 @@ def schmidt_pair(theta: float) -> PureState:
 def maximally_mixed(n: int) -> DensityMatrix:
     if n < 1:
         raise BadStateName("mixed needs n >= 1")
-    d = 2**n
+    d = _checked_dim(n)
     return DensityMatrix(n, np.eye(d, dtype=complex) / d)
 
 

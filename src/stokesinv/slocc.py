@@ -3,7 +3,7 @@ O(1,3) action on Stokes tensors, and renormalization bookkeeping."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,12 +68,7 @@ class FilterReport:
     gain: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "attenuation": self.attenuation,
-            "invariant_before": self.invariant_before,
-            "invariant_after_renorm": self.invariant_after_renorm,
-            "gain": self.gain,
-        }
+        return asdict(self)
 
 
 def lorentz_of(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:

@@ -94,14 +94,12 @@ def stokes_tensor(rho) -> StokesTensor:
 
 
 def density_from_stokes(s: StokesTensor) -> DensityMatrix:
-    """Inverse of `stokes_tensor`. The result is Hermitian by construction but
-    not necessarily PSD for arbitrary input; `psd_ok` records the check."""
+    """Inverse of `stokes_tensor`, O(n 4^n). The result is Hermitian by
+    construction but not necessarily PSD for arbitrary input; its `psd_ok`
+    runs that check when it is read."""
     n = s.n_qubits
     m = _from_pair_tensor(_apply_legs(s.values.astype(complex), [_BWD] * n), n)
-    rho = DensityMatrix(n, m, normalized=abs(np.trace(m).real - 1.0) <= 1e-10)
-    herm = 0.5 * (m + m.conj().T)
-    rho.psd_ok = bool(np.min(np.linalg.eigvalsh(herm)) >= -1e-10)
-    return rho
+    return DensityMatrix(n, m, normalized=abs(np.trace(m).real - 1.0) <= 1e-10)
 
 
 def minkowski_invariant(s: StokesTensor) -> float:

@@ -146,3 +146,8 @@ def apply_local_bruteforce(rho, ops):
     """(A1 x ... x An) rho (A1 x ... x An)^dagger with the full operator."""
     full = kron_chain(ops)
     return full @ rho @ full.conj().T
+
+
+def psd_ok_reference(m):
+    """The eager PSD verdict: min eigenvalue of the Hermitian part >= -1e-10."""
+    return bool(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) >= -1e-10)

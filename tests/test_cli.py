@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -208,7 +213,57 @@ class TestMalformedInput:
         assert code == 2
         assert json.loads(err)["error"] == "BadStateName"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["invariant", "measures"])
+    def test_overflowing_trace(self, capsys, tmp_path, command):
+        doc = {"n": 1, "matrix": [[[1e300, 0], [0, 0]], [[0, 0], [1e300, 0]]]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--state", str(path))
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "OutOfRange"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["invariant", "measures"])
+    def test_trace_just_below_bound(self, capsys, tmp_path, command):
+        t = 0.999 * math.sqrt(sys.float_info.max / 2)
+        doc = {"n": 1, "matrix": [[[t, 0], [0, 0]], [[0, 0], [0, 0]]]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--state", str(path))
+        assert code == 0 and err == ""
+
+        def refuse(name):
+            raise AssertionError("non-finite %s in output" % name)
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["purity"] == pytest.approx(t * t)
+
     def test_pair_of_eleven_qubits(self, capsys):
         code, out, _ = run(capsys, "invariant", "--state", "ghz:11", "--pair", "1,2")
         assert code == 0
         assert json.loads(out)["invariant"] == pytest.approx(0.5, abs=1e-12)
+
+
+def _limit_address_space():
+    limit = 2 * 1024**3
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("spec", ["ghz:40", "w:40", "mixed:max:40", "basis:" + "0" * 40])
+    def test_refused_before_allocation(self, spec):
+        # an allocation that slips through fails fast under the child's limit
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "stokesinv.cli", "invariant", "--state", spec],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "OutOfRange"

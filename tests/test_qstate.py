@@ -174,6 +174,14 @@ class TestNamedStates:
             qstate.ghz_state(1)
 
 
+class TestDensityMatrix:
+    def test_psd_ok_reads_the_current_matrix(self):
+        rho = qstate.DensityMatrix(1, np.diag([1.5, -0.5]))
+        assert not rho.psd_ok
+        rho.matrix = np.eye(2, dtype=complex) / 2
+        assert rho.psd_ok
+
+
 class TestRandom:
     def test_pure_normalized(self):
         for seed in range(10):

@@ -7,6 +7,7 @@ from stokesinv.errors import BadLength, DimensionMismatch
 from oracles import (
     apply_legs_reference,
     minkowski_bruteforce,
+    psd_ok_reference,
     spin_flip_bruteforce,
     stokes_tensor_bruteforce,
 )
@@ -93,6 +94,42 @@ class TestDensityFromStokes:
     def test_bad_length(self):
         with pytest.raises(BadLength):
             stokes.StokesTensor(2, [1, 0, 0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("scale", [1.0, 1.5, 3.0])
+    def test_psd_ok_matches_eager_reference(self, n, scale):
+        # scale > 1 stretches every non-identity component: Bloch vectors
+        # past the unit ball, mostly unphysical tensors
+        rho = qstate.random_mixed(n, min(4, 2**n), 300 + n)
+        s = stokes.stokes_tensor(rho)
+        values = s.values * scale
+        values[0] = 1.0
+        back = stokes.density_from_stokes(stokes.StokesTensor(n, values))
+        assert back.psd_ok == psd_ok_reference(back.matrix)
+        if scale == 1.0:
+            assert back.psd_ok
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_product_past_unit_ball_is_not_psd(self, n):
+        one = np.array([1.0, 0.72, 0.96, 0.0])  # |r| = 1.2
+        values = qstate.kron_all([one] * n)
+        back = stokes.density_from_stokes(stokes.StokesTensor(n, values))
+        assert not back.psd_ok
+        assert not psd_ok_reference(back.matrix)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_no_eigendecomposition(self, n, monkeypatch):
+        rho = qstate.random_mixed(n, min(4, 2**n), 400 + n)
+        s = stokes.stokes_tensor(rho)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("density_from_stokes ran an eigendecomposition")
+
+        for name in ("eigvalsh", "eigh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        back = stokes.density_from_stokes(s)
+        assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-10
+        assert back.normalized
 
 
 class TestMinkowskiInvariant:
