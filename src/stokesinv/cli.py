@@ -82,8 +82,14 @@ def state_from_json(doc: dict):
     if not np.all(np.isfinite(m)):
         raise ParseError("state document has a non-finite matrix entry")
     rho = DensityMatrix(n, m)
+    bound = np.sqrt(np.finfo(float).max / 2**n)
+    # bounds the trace sum and the Hermitian part the PSD check forms; a PSD rho
+    # has |rho_ab| <= Tr rho, so no PSD document the trace bound passes is refused
+    largest = float(np.max(np.abs(rho.matrix)))
+    if largest >= bound:
+        raise OutOfRange("density matrix entry %g is out of float range" % largest)
     # keeps sum S^2 = 2^n Tr rho^2 <= 2^n (Tr rho)^2, Tr rho^2 and Tr rho rho~ finite
-    if rho.trace >= np.sqrt(np.finfo(float).max / 2**n):
+    if rho.trace >= bound:
         raise OutOfRange("density matrix trace %g overflows its Stokes norms" % rho.trace)
     rho.normalized = abs(rho.trace - 1.0) <= 1e-8
     rho.validate(tol=1e-8)

@@ -14,6 +14,7 @@ from .qstate import as_density, kron_all
 from .stokes import (
     StokesTensor,
     _apply_legs,
+    _pair_legs,
     density_from_stokes,
     hs_overlap,
     minkowski_invariant,
@@ -100,9 +101,9 @@ def tomography_simulate(
     """Reconstruct the Stokes tensor from all 3^n full Pauli settings.
 
     The frequencies form one tensor with a (setting, outcome) axis of size 6
-    per qubit, mapped per leg to Stokes digits by `_DIGITS`. The identity
-    digit pools the 3 settings of its leg, so a weight-w component sums
-    shots * 3^(n - w) signed outcomes and is divided once by that count.
+    per qubit, mapped per pair of legs to Stokes digits by `_DIGITS`. The
+    identity digit pools the 3 settings of its leg, so a weight-w component
+    sums shots * 3^(n - w) signed outcomes and is divided once by that count.
     With `infinite=True` (and shots_per_setting = 0) the exact outcome
     probabilities stand in for the frequencies.
     """
@@ -124,7 +125,8 @@ def tomography_simulate(
     t = freqs.reshape((3,) * n + (2,) * n)
     t = t.transpose([x for k in range(n) for x in (k, n + k)])
     pooled = kron_all([np.array([3.0, 1.0, 1.0, 1.0])] * n)
-    values = _apply_legs(t, [_DIGITS] * n) / (max(shots_per_setting, 1) * pooled)
+    legs = _pair_legs([_DIGITS] * n)
+    values = _apply_legs(t, legs) / (max(shots_per_setting, 1) * pooled)
     values[0] = 1.0
     stokes_hat = StokesTensor(n, values)
     return TomographyResult(

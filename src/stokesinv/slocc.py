@@ -15,8 +15,8 @@ from .errors import (
     ParseError,
 )
 from .qstate import DensityMatrix, as_density, kron_all
-from .stokes import _BWD, _FWD
-from .stokes import StokesTensor, _apply_legs, minkowski_invariant, stokes_tensor
+from .stokes import _BWD, _FWD, _apply_legs, _pair_legs
+from .stokes import StokesTensor, minkowski_invariant, stokes_tensor
 
 
 @dataclass(eq=False)
@@ -97,13 +97,14 @@ def apply_local_to_density(rho, op: LocalOperation) -> DensityMatrix:
 
 
 def apply_lorentz_to_stokes(s: StokesTensor, ls) -> StokesTensor:
-    """Contract one 4x4 Lorentz matrix onto each tensor leg, qubit 1 first."""
+    """Contract one 4x4 Lorentz matrix onto each tensor leg, qubit 1 first,
+    two legs per pass."""
     ls = [np.asarray(l, dtype=float) for l in ls]
     if len(ls) != s.n_qubits:
         raise DimensionMismatch(
             "%d Lorentz matrices for %d qubits" % (len(ls), s.n_qubits)
         )
-    return StokesTensor(s.n_qubits, _apply_legs(s.values, ls))
+    return StokesTensor(s.n_qubits, _apply_legs(s.values, _pair_legs(ls)))
 
 
 def renormalize(s: StokesTensor) -> StokesTensor:

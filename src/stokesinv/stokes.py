@@ -18,6 +18,10 @@ IMAG_TOL = 1e-8
 _FWD = SIGMA.transpose(0, 2, 1).reshape(4, 4)
 # _BWD[2a+b, i] = sigma_i[a, b] / 2  realizing rho = (1/2) sum_i S_i sigma_i
 _BWD = SIGMA.reshape(4, 4).T / 2.0
+# The same maps on a two-qubit block: kron(_FWD, _FWD) and kron(_BWD, _BWD)
+# with the block's (r1 c1 r2 c2) entries reordered to (r1 r2 c1 c2).
+_FWD2 = np.einsum("iac,jbd->ijcdab", SIGMA, SIGMA).reshape(16, 16)
+_BWD2 = np.einsum("iac,jbd->abcdij", SIGMA, SIGMA).reshape(16, 16) / 4.0
 
 
 @dataclass(eq=False)
@@ -56,18 +60,31 @@ def _sign_vector(n: int) -> np.ndarray:
     return kron_all([np.array([1.0, -1.0, -1.0, -1.0])] * n)
 
 
+def _pair_blocks(n: int) -> list:
+    """Widths of the two-qubit row (or column) blocks, a lone last qubit 2 wide."""
+    return [4] * (n // 2) + [2] * (n % 2)
+
+
 def _to_pair_tensor(matrix: np.ndarray, n: int) -> np.ndarray:
-    """Reshape a 2^n x 2^n matrix to a (4,)*n tensor with per-qubit
-    (row, col) pairs as axes."""
-    t = matrix.reshape((2,) * (2 * n))
-    perm = [x for k in range(n) for x in (k, n + k)]
-    return t.transpose(perm).reshape((4,) * n)
+    """Reorder a 2^n x 2^n matrix so that each leg is one block's (row, col)
+    pair: (r1 r2 c1 c2) per two-qubit block, (r c) for a lone last qubit."""
+    b = _pair_blocks(n)
+    perm = [x for k in range(len(b)) for x in (k, len(b) + k)]
+    return matrix.reshape(b + b).transpose(perm).reshape(-1)
 
 
 def _from_pair_tensor(t: np.ndarray, n: int) -> np.ndarray:
-    t = t.reshape((2, 2) * n)
-    perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
+    b = _pair_blocks(n)
+    t = t.reshape([w for w in b for _ in range(2)])
+    perm = [2 * k for k in range(len(b))] + [2 * k + 1 for k in range(len(b))]
     return t.transpose(perm).reshape(2**n, 2**n)
+
+
+def _pair_legs(mats) -> list:
+    """Fuse consecutive per-qubit leg maps pairwise, kron(m1, m2), keeping a
+    lone last map, so that `_apply_legs` makes half the passes."""
+    fused = [np.kron(a, b) for a, b in zip(mats[::2], mats[1::2])]
+    return fused + list(mats[2 * len(fused) :])
 
 
 def _apply_legs(t: np.ndarray, mats) -> np.ndarray:
@@ -84,7 +101,8 @@ def stokes_tensor(rho) -> StokesTensor:
     Stokes tensor S[i1..in] = Tr(rho sigma_i1 x ... x sigma_in)."""
     rho = as_density(rho)
     n = rho.n_qubits
-    flat = _apply_legs(_to_pair_tensor(rho.matrix, n), [_FWD] * n)
+    legs = [_FWD2] * (n // 2) + [_FWD] * (n % 2)
+    flat = _apply_legs(_to_pair_tensor(rho.matrix, n), legs)
     resid = float(np.max(np.abs(flat.imag))) if flat.size else 0.0
     if resid > IMAG_TOL:
         raise NonHermitianInput(
@@ -98,7 +116,8 @@ def density_from_stokes(s: StokesTensor) -> DensityMatrix:
     construction but not necessarily PSD for arbitrary input; its `psd_ok`
     runs that check when it is read."""
     n = s.n_qubits
-    m = _from_pair_tensor(_apply_legs(s.values.astype(complex), [_BWD] * n), n)
+    legs = [_BWD2] * (n // 2) + [_BWD] * (n % 2)
+    m = _from_pair_tensor(_apply_legs(s.values.astype(complex), legs), n)
     return DensityMatrix(n, m, normalized=abs(np.trace(m).real - 1.0) <= 1e-10)
 
 

@@ -151,3 +151,25 @@ def apply_local_bruteforce(rho, ops):
 def psd_ok_reference(m):
     """The eager PSD verdict: min eigenvalue of the Hermitian part >= -1e-10."""
     return bool(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) >= -1e-10)
+
+
+# Single-qubit Stokes maps built from the Pauli list:
+# FWD[i, 2a+b] = sigma_i[b, a] and BWD[2a+b, i] = sigma_i[a, b] / 2.
+FWD = np.array(PAULIS).transpose(0, 2, 1).reshape(4, 4)
+BWD = np.array(PAULIS).reshape(4, 4).T / 2
+
+
+def stokes_per_qubit_reference(rho, n):
+    """Complex Stokes tensor on the per-qubit layout: a 2n-axis transpose to
+    (r1 c1 r2 c2 ...), then FWD on every 4-wide leg."""
+    perm = [x for k in range(n) for x in (k, n + k)]
+    t = rho.reshape((2,) * (2 * n)).transpose(perm)
+    return apply_legs_reference(t, [FWD] * n)
+
+
+def density_per_qubit_reference(values, n):
+    """Inverse of stokes_per_qubit_reference: BWD on every leg, then the
+    2n-axis transpose back to a 2^n x 2^n matrix."""
+    t = apply_legs_reference(np.asarray(values, dtype=complex), [BWD] * n)
+    perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
+    return t.reshape((2, 2) * n).transpose(perm).reshape(2**n, 2**n)

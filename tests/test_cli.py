@@ -240,6 +240,35 @@ class TestMalformedInput:
         doc = json.loads(out, parse_constant=refuse)
         assert doc["purity"] == pytest.approx(t * t)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["invariant", "measures"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 1, "matrix": [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]},
+            {"n": 1, "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]},
+        ],
+        ids=["off-diagonal", "trace"],
+    )
+    def test_overflowing_entry(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--state", str(path))
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "OutOfRange"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["invariant", "measures"])
+    def test_entry_just_below_bound(self, capsys, tmp_path, command):
+        x = 0.999 * math.sqrt(sys.float_info.max / 2)
+        doc = {"n": 1, "matrix": [[[0.5, 0], [x, 0]], [[x, 0], [0.5, 0]]]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--state", str(path))
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"] == "NotPositiveSemidefinite"
+
     def test_pair_of_eleven_qubits(self, capsys):
         code, out, _ = run(capsys, "invariant", "--state", "ghz:11", "--pair", "1,2")
         assert code == 0

@@ -89,6 +89,18 @@ class TestTomography:
             want = tomography_bruteforce(rho.matrix, n, 0, seed, infinite=True)
             assert np.max(np.abs(inf.stokes_hat.values - want)) <= 1e-15
 
+    def test_matches_bruteforce_with_a_lone_leg(self):
+        # n = 5: two fused pairs of legs and a lone one; integer counts keep
+        # every sum exact, so finite shots agree bit for bit
+        n, seed = 5, 31
+        rho = qstate.random_mixed(n, 3, 930)
+        res = estimator.tomography_simulate(rho, 200, seed)
+        want = tomography_bruteforce(rho.matrix, n, 200, seed)
+        assert np.array_equal(res.stokes_hat.values, want)
+        inf = estimator.tomography_simulate(rho, 0, seed, infinite=True)
+        want = tomography_bruteforce(rho.matrix, n, 0, seed, infinite=True)
+        assert np.max(np.abs(inf.stokes_hat.values - want)) <= 1e-15
+
     def test_bell_finite_shots(self):
         res = estimator.tomography_simulate(bell(), 10**4, 42)
         assert abs(res.invariant_hat - 1.0) <= 0.05

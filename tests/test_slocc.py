@@ -10,7 +10,7 @@ from stokesinv.errors import (
     ParseError,
 )
 
-from oracles import apply_local_bruteforce, lorentz_bruteforce
+from oracles import apply_legs_reference, apply_local_bruteforce, lorentz_bruteforce
 
 G = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -163,6 +163,14 @@ class TestApplyLorentzToStokes:
                 stokes.stokes_tensor(rho), [slocc.lorentz_of(o) for o in ops]
             )
             assert np.max(np.abs(lhs.values - rhs.values)) < 1e-8
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_qubit_route(self, n):
+        s = stokes.stokes_tensor(qstate.random_mixed(n, min(4, 2**n), 760 + n))
+        ls = [slocc.lorentz_of(qstate.random_sl2c(780 + 10 * n + k)) for k in range(n)]
+        want = apply_legs_reference(s.values, ls)
+        got = slocc.apply_lorentz_to_stokes(s, ls).values
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestRenormalize:

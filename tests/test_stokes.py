@@ -1,14 +1,19 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
 from stokesinv import estimator, qstate, stokes
-from stokesinv.errors import BadLength, DimensionMismatch
+from stokesinv.errors import BadLength, DimensionMismatch, NonHermitianInput
 
 from oracles import (
     apply_legs_reference,
+    density_per_qubit_reference,
     minkowski_bruteforce,
     psd_ok_reference,
     spin_flip_bruteforce,
+    stokes_per_qubit_reference,
     stokes_tensor_bruteforce,
 )
 
@@ -39,6 +44,52 @@ class TestApplyLegs:
         want = apply_legs_reference(t, mats)
         got = stokes._apply_legs(t, mats)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class TestTwoQubitLegs:
+    def test_block_maps_match_explicit_loop(self):
+        fwd2 = np.zeros((16, 16), dtype=complex)
+        bwd2 = np.zeros((16, 16), dtype=complex)
+        digits = itertools.product(range(4), range(4), *[range(2)] * 4)
+        for i1, i2, r1, r2, c1, c2 in digits:
+            i, block = 4 * i1 + i2, 8 * r1 + 4 * r2 + 2 * c1 + c2
+            fwd2[i, block] = stokes._FWD[i1, 2 * r1 + c1] * stokes._FWD[i2, 2 * r2 + c2]
+            bwd2[block, i] = stokes._BWD[2 * r1 + c1, i1] * stokes._BWD[2 * r2 + c2, i2]
+        assert np.array_equal(stokes._FWD2, fwd2)
+        assert np.array_equal(stokes._BWD2, bwd2)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pair_layout_round_trip_bit_exact(self, n):
+        rng = np.random.default_rng(700 + n)
+        m = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        back = stokes._from_pair_tensor(stokes._to_pair_tensor(m, n), n)
+        assert np.array_equal(back, m)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_maps_match_per_qubit_route(self, n):
+        rho = qstate.random_mixed(n, min(4, 2**n), 720 + n)
+        s = stokes.stokes_tensor(rho)
+        want = stokes_per_qubit_reference(rho.matrix, n).real
+        assert np.max(np.abs(s.values - want)) <= 1e-15 * np.max(np.abs(want))
+        back = stokes.density_from_stokes(s).matrix
+        want = density_per_qubit_reference(s.values, n)
+        assert np.max(np.abs(back - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_imaginary_residue_check(self, n, monkeypatch):
+        rho = qstate.random_mixed(n, min(4, 2**n), 740 + n).matrix
+        # rho + i eps I has imaginary residue 2^n eps, in the intensity component
+        eps = stokes.IMAG_TOL / 2**n
+        with pytest.raises(NonHermitianInput):
+            stokes.stokes_tensor(qstate.DensityMatrix(n, rho + 2j * eps * np.eye(2**n)))
+        shifted = rho + 0.5j * eps * np.eye(2**n)
+        stokes.stokes_tensor(qstate.DensityMatrix(n, shifted))
+        # with no tolerance left the error names the residue: the per-qubit one
+        resid = np.max(np.abs(stokes_per_qubit_reference(shifted, n).imag))
+        monkeypatch.setattr(stokes, "IMAG_TOL", 0.0)
+        message = re.escape("residue %g" % resid) + "$"
+        with pytest.raises(NonHermitianInput, match=message):
+            stokes.stokes_tensor(qstate.DensityMatrix(n, shifted))
 
 
 class TestStokesTensor:
