@@ -46,15 +46,20 @@ def parse_state(spec: str):
     raise ParseError("unrecognized state spec %r" % spec)
 
 
-def load_state_file(path: str):
+def _read_json(path: str, what: str):
+    """The JSON document at `path`; ParseError when it cannot be read or is
+    not JSON text (a missing path, a directory, binary data)."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ParseError("state file not found: %s" % path) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError("bad JSON in %s at line %d column %d" % (path, exc.lineno, exc.colno)) from exc
-    return state_from_json(doc)
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError("cannot read %s file %s: %s" % (what, path, exc.strerror)) from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError("bad JSON in %s: %s" % (path, exc)) from exc
+
+
+def load_state_file(path: str):
+    return state_from_json(_read_json(path, "state"))
 
 
 def state_from_json(doc: dict):
@@ -117,14 +122,7 @@ def parse_ops(spec: str, n_qubits: int) -> slocc.LocalOperation:
         ops = [np.eye(2, dtype=complex) for _ in range(n_qubits)]
         ops[k - 1] = np.diag([a, 1.0 / a]).astype(complex)
         return slocc.LocalOperation(ops)
-    try:
-        with open(spec) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ParseError("ops file not found: %s" % spec) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError("bad JSON in %s: %s" % (spec, exc)) from exc
-    op = slocc.LocalOperation.from_json_dict(doc)
+    op = slocc.LocalOperation.from_json_dict(_read_json(spec, "ops"))
     if len(op) != n_qubits:
         raise ParseError("%d ops for %d qubits" % (len(op), n_qubits))
     return op
@@ -143,8 +141,11 @@ def _emit(doc, args, csv_rows=None):
     else:
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError("cannot write %s: %s" % (args.out, exc.strerror)) from exc
     else:
         sys.stdout.write(text)
 
@@ -216,9 +217,9 @@ def cmd_swapnet(args):
 
 
 def cmd_tomo(args):
-    rho = qstate.as_density(parse_state(args.state))
+    state = parse_state(args.state)  # tomography_simulate guards its size first
     infinite = args.shots == 0
-    res = estimator.tomography_simulate(rho, args.shots, args.seed, infinite=infinite)
+    res = estimator.tomography_simulate(state, args.shots, args.seed, infinite=infinite)
     doc = res.to_json_dict()
     rows = [
         ("invariant_hat", res.invariant_hat),

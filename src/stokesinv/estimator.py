@@ -3,18 +3,19 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroShots
-from .qstate import as_density, kron_all
+from .errors import DimensionMismatch, OutOfRange, ZeroShots
+from .qstate import _refuse_beyond_memory, as_density, kron_all
 from .stokes import (
     StokesTensor,
     _apply_legs,
+    _block_legs,
     _pair_legs,
+    _to_pair_tensor,
     density_from_stokes,
     hs_overlap,
     minkowski_invariant,
@@ -23,12 +24,26 @@ from .stokes import (
 )
 
 # Eigenvector columns of sigma_1..sigma_3, ordered eigenvalue +1 then -1,
-# so measurement outcome bit 0 carries sign +1.
-_EIGBASIS = {
-    1: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    2: np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2),
-    3: np.eye(2, dtype=complex),
-}
+# so measurement outcome bit 0 carries sign +1: _EIGBASIS[a - 1][r, o].
+_EIGBASIS = np.array(
+    [
+        np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+        np.array([[1, 1], [1j, -1j]]) / np.sqrt(2),
+        np.eye(2),
+    ],
+    dtype=complex,
+)
+
+# Per-leg map from a qubit's (r, c) density entry to the probability of
+# outcome o under setting a, index 2*(a - 1) + o:
+# _PROBS[(a, o), (r, c)] = conj(U_a[r, o]) U_a[c, o], so p = <u_o| rho |u_o>.
+_PROBS = np.einsum("aro,aco->aorc", _EIGBASIS.conj(), _EIGBASIS).reshape(6, 4)
+# The same on a two-qubit block, its (r1 c1 r2 c2) columns reordered to
+# (r1 r2 c1 c2) as in `stokes._FWD2`.
+_PROBS2 = np.einsum("irc,jsd->ijrscd", *[_PROBS.reshape(6, 2, 2)] * 2).reshape(36, 16)
+
+# Largest shot count the samplers take (a C long).
+_MAX_SHOTS = np.iinfo(np.int64).max
 
 # Per-leg map from (setting, outcome) index 2*(axis - 1) + bit to Stokes digit:
 # digit 0 pools all six, digit i takes the outcome sign under setting i only.
@@ -65,6 +80,11 @@ class TomographyResult:
         }
 
 
+def _check_shot_range(shots: int) -> None:
+    if shots > _MAX_SHOTS:
+        raise OutOfRange("%d shots exceed the samplers' limit of %d" % (shots, _MAX_SHOTS))
+
+
 def swap_network_estimate(a, b, shots: int, seed: int) -> EstimateReport:
     """Estimate Tr(a b) from the interference statistics of the controlled-swap
     network, simulated at the probability level: the ancilla lands in its
@@ -74,6 +94,7 @@ def swap_network_estimate(a, b, shots: int, seed: int) -> EstimateReport:
         raise DimensionMismatch("states of different size")
     if shots < 1:
         raise ZeroShots("swap network needs shots >= 1")
+    _check_shot_range(shots)
     exact = hs_overlap(a, b)
     p0 = min(max(0.5 * (1.0 + exact), 0.0), 1.0)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
@@ -88,42 +109,51 @@ def swap_network_estimate(a, b, shots: int, seed: int) -> EstimateReport:
     )
 
 
-def _setting_probs(rho, setting) -> np.ndarray:
-    u = kron_all([_EIGBASIS[a] for a in setting])
-    probs = np.real(np.einsum("ij,jk,ki->i", u.conj().T, rho.matrix, u))
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
-
-
 def tomography_simulate(
     rho, shots_per_setting: int, seed: int, infinite: bool = False
 ) -> TomographyResult:
     """Reconstruct the Stokes tensor from all 3^n full Pauli settings.
 
-    The frequencies form one tensor with a (setting, outcome) axis of size 6
-    per qubit, mapped per pair of legs to Stokes digits by `_DIGITS`. The
-    identity digit pools the 3 settings of its leg, so a weight-w component
-    sums shots * 3^(n - w) signed outcomes and is divided once by that count.
+    One `_apply_legs` pass maps rho, on the `stokes._pair_blocks` layout, to
+    the probabilities of every (setting, outcome) pair, a leg of size 6 per
+    qubit: `_PROBS` on a lone first qubit, `_PROBS2` on each two-qubit block.
+    The frequencies drawn from them form one tensor of the same legs, mapped
+    per pair of legs to Stokes digits by `_DIGITS`. The identity digit pools
+    the 3 settings of its leg, so a weight-w component sums
+    shots * 3^(n - w) signed outcomes and is divided once by that count.
     With `infinite=True` (and shots_per_setting = 0) the exact outcome
-    probabilities stand in for the frequencies.
+    probabilities stand in for the frequencies. The complex probability
+    tensor and its real copy by setting take 24 * 6^n bytes; a request that
+    would exceed physical memory is refused before any allocation.
     """
-    rho = as_density(rho)
     if infinite:
         if shots_per_setting != 0:
             raise ZeroShots("infinite-shot mode requires shots_per_setting = 0")
     elif shots_per_setting < 1:
         raise ZeroShots("tomography needs shots_per_setting >= 1 (or infinite mode)")
+    _check_shot_range(shots_per_setting)
     n = rho.n_qubits
-    freqs = np.empty((3**n, 2**n))
-    for j, setting in enumerate(itertools.product((1, 2, 3), repeat=n)):
-        probs = _setting_probs(rho, setting)
-        if infinite:
-            freqs[j] = probs
-        else:
-            sub = np.random.SeedSequence([int(seed) & (2**63 - 1), j, 0])
-            freqs[j] = np.random.default_rng(sub).multinomial(shots_per_setting, probs)
-    t = freqs.reshape((3,) * n + (2,) * n)
-    t = t.transpose([x for k in range(n) for x in (k, n + k)])
+    _refuse_beyond_memory(
+        24 * 6**n, "tomography of %d qubits: 24*6^%d bytes of probabilities" % (n, n)
+    )
+    rho = as_density(rho)
+    by_setting = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    probs = _apply_legs(_to_pair_tensor(rho.matrix, n), _block_legs(_PROBS, _PROBS2, n))
+    # a real copy, one row per setting with qubit 1 first; releasing the
+    # complex tensor here keeps the peak at the 24 * 6^n bytes guarded above
+    freqs = probs.real.reshape((3, 2) * n).transpose(by_setting).reshape(3**n, 2**n)
+    del probs
+    # clips negatives, and snaps the ~1e-32 left where exact zeros cancel: a
+    # binomial draw at p > 0 consumes random numbers that one at p = 0 does not
+    freqs[freqs < 1e-15] = 0.0
+    freqs /= freqs.sum(axis=1, keepdims=True)
+    if not infinite:
+        root = int(seed) & (2**63 - 1)
+        for j, p in enumerate(freqs):
+            rng = np.random.default_rng(np.random.SeedSequence([root, j, 0]))
+            p[:] = rng.multinomial(shots_per_setting, p)
+    interleaved = [x for k in range(n) for x in (k, n + k)]
+    t = freqs.reshape((3,) * n + (2,) * n).transpose(interleaved)
     pooled = kron_all([np.array([3.0, 1.0, 1.0, 1.0])] * n)
     legs = _pair_legs([_DIGITS] * n)
     values = _apply_legs(t, legs) / (max(shots_per_setting, 1) * pooled)

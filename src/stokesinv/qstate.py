@@ -175,11 +175,17 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # Named states
 
+def _refuse_beyond_memory(nbytes: int, what: str) -> None:
+    """Raise OutOfRange, before any allocation, when `what` would take more
+    than this machine's physical memory."""
+    if nbytes > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise OutOfRange("%s exceeds physical memory" % what)
+
+
 def _checked_dim(n: int) -> int:
     """2^n, refused before any allocation when the 16*4^n-byte density
     matrix of n qubits would exceed this machine's physical memory."""
-    if 16 * 4**n > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        raise OutOfRange("%d qubits: a 16*4^%d-byte density matrix exceeds physical memory" % (n, n))
+    _refuse_beyond_memory(16 * 4**n, "%d qubits: a 16*4^%d-byte density matrix" % (n, n))
     return 2**n
 
 

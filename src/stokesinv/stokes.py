@@ -61,13 +61,14 @@ def _sign_vector(n: int) -> np.ndarray:
 
 
 def _pair_blocks(n: int) -> list:
-    """Widths of the two-qubit row (or column) blocks, a lone last qubit 2 wide."""
-    return [4] * (n // 2) + [2] * (n % 2)
+    """Widths of the row (or column) blocks: a lone first qubit 2 wide when n
+    is odd, then two-qubit blocks 4 wide, so the innermost block is 4 wide."""
+    return [2] * (n % 2) + [4] * (n // 2)
 
 
 def _to_pair_tensor(matrix: np.ndarray, n: int) -> np.ndarray:
     """Reorder a 2^n x 2^n matrix so that each leg is one block's (row, col)
-    pair: (r1 r2 c1 c2) per two-qubit block, (r c) for a lone last qubit."""
+    pair: (r c) for a lone first qubit, then (r1 r2 c1 c2) per two-qubit block."""
     b = _pair_blocks(n)
     perm = [x for k in range(len(b)) for x in (k, len(b) + k)]
     return matrix.reshape(b + b).transpose(perm).reshape(-1)
@@ -81,10 +82,17 @@ def _from_pair_tensor(t: np.ndarray, n: int) -> np.ndarray:
 
 
 def _pair_legs(mats) -> list:
-    """Fuse consecutive per-qubit leg maps pairwise, kron(m1, m2), keeping a
-    lone last map, so that `_apply_legs` makes half the passes."""
-    fused = [np.kron(a, b) for a, b in zip(mats[::2], mats[1::2])]
-    return fused + list(mats[2 * len(fused) :])
+    """Fuse per-qubit leg maps pairwise, kron(m1, m2), after a lone first map
+    when their number is odd, so that `_apply_legs` makes half the passes on
+    the `_pair_blocks` layout."""
+    lone, rest = list(mats[: len(mats) % 2]), mats[len(mats) % 2 :]
+    return lone + [np.kron(a, b) for a, b in zip(rest[::2], rest[1::2])]
+
+
+def _block_legs(one: np.ndarray, two: np.ndarray, n: int) -> list:
+    """Leg maps for the `_pair_blocks` layout: `one` on a lone first qubit,
+    then `two` on each two-qubit block."""
+    return [one] * (n % 2) + [two] * (n // 2)
 
 
 def _apply_legs(t: np.ndarray, mats) -> np.ndarray:
@@ -101,14 +109,15 @@ def stokes_tensor(rho) -> StokesTensor:
     Stokes tensor S[i1..in] = Tr(rho sigma_i1 x ... x sigma_in)."""
     rho = as_density(rho)
     n = rho.n_qubits
-    legs = [_FWD2] * (n // 2) + [_FWD] * (n % 2)
-    flat = _apply_legs(_to_pair_tensor(rho.matrix, n), legs)
-    resid = float(np.max(np.abs(flat.imag))) if flat.size else 0.0
+    flat = _apply_legs(_to_pair_tensor(rho.matrix, n), _block_legs(_FWD, _FWD2, n))
+    values = np.abs(flat.imag)  # becomes the result, so no 4^n temporary
+    resid = float(values.max())
     if resid > IMAG_TOL:
         raise NonHermitianInput(
             "Stokes component has imaginary residue %g" % resid
         )
-    return StokesTensor(n, flat.real.copy())  # no view pinning the complex buffer
+    values[...] = flat.real  # its own buffer: no view pinning the complex one
+    return StokesTensor(n, values)
 
 
 def density_from_stokes(s: StokesTensor) -> DensityMatrix:
@@ -116,7 +125,7 @@ def density_from_stokes(s: StokesTensor) -> DensityMatrix:
     construction but not necessarily PSD for arbitrary input; its `psd_ok`
     runs that check when it is read."""
     n = s.n_qubits
-    legs = [_BWD2] * (n // 2) + [_BWD] * (n % 2)
+    legs = _block_legs(_BWD, _BWD2, n)
     m = _from_pair_tensor(_apply_legs(s.values.astype(complex), legs), n)
     return DensityMatrix(n, m, normalized=abs(np.trace(m).real - 1.0) <= 1e-10)
 
@@ -138,7 +147,8 @@ def spin_flip(rho) -> DensityMatrix:
     columns reversed, times (-1)^(popcount r + popcount c)."""
     rho = as_density(rho)
     sign = kron_all([np.array([1.0, -1.0])] * rho.n_qubits)
-    out = rho.matrix.conj()[::-1, ::-1] * sign[:, None]
+    out = np.conjugate(rho.matrix[::-1, ::-1])  # the one 4^n allocation
+    out *= sign[:, None]
     out *= sign
     return DensityMatrix(rho.n_qubits, out, normalized=rho.normalized)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -107,6 +108,24 @@ class TestEstimatorCommands:
         _, out, _ = run(capsys, "tomo", "--state", "bell:phi+", "--shots", "0")
         doc = json.loads(out)
         assert doc["invariant_hat"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_tomo_w3_draws(self, capsys):
+        # pins the draws of one input no golden covers: signed outcome tallies
+        # (each value times shots * 3^(n - weight)), digits of qubit 1 first
+        code, out, _ = run(capsys, "tomo", "--state", "w:3", "--shots", "1000", "--seed", "7")
+        assert code == 0
+        doc = json.loads(out)
+        pooled = [3 ** sum(d == 0 for d in digits) for digits in itertools.product(range(4), repeat=3)]
+        tally = [v * 1000 * p for v, p in zip(doc["stokes_hat"]["values"], pooled)]
+        assert [round(t) for t in tally] == [
+            27000, 62, 70, 2860, 148, 1992, -28, -6, 66, -14, 1982, 34, 3070, -20, 24, -992,
+            106, 1954, -48, -18, 2018, -6, 2, 658, -76, 70, 42, -54, -44, 642, 6, -44,
+            184, -118, 2032, 58, -40, 38, 22, -48, 1922, 6, 22, 688, -42, -30, 694, -32,
+            3004, -46, -2, -1010, -26, 642, 50, -8, -100, -44, 626, 14, -1010, -4, 38, -1000,
+        ]
+        assert max(abs(t - round(t)) for t in tally) < 1e-9
+        assert doc["invariant_hat"] == 0.0007828395061728888
+        assert doc["psd_ok"] is False
 
     def test_determinism(self, capsys):
         argv = ["tomo", "--state", "ghz:3", "--shots", "200", "--seed", "5"]
@@ -269,6 +288,34 @@ class TestMalformedInput:
         assert code == 4 and out == ""
         assert json.loads(err)["error"] == "NotPositiveSemidefinite"
 
+    @pytest.mark.parametrize("command", ["swapnet", "tomo"])
+    def test_shot_count_beyond_int64(self, capsys, command):
+        shots = "10000000000000000000"
+        code, out, err = run(capsys, command, "--state", "bell:phi+", "--shots", shots)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "OutOfRange"
+
+    def test_unwritable_output_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "state", "--state", "w:3", "--out", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("option", ["--state", "--ops"])
+    def test_directory_as_input_file(self, capsys, tmp_path, option):
+        argv = ["filter", "--state", "bell:phi+", "--ops", "boost:1:a2=2"]
+        argv[argv.index(option) + 1] = str(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    def test_binary_state_file(self, capsys, tmp_path):
+        path = tmp_path / "state.bin"
+        path.write_bytes(bytes(range(256)))
+        code, out, err = run(capsys, "stokes", "--state", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
     def test_pair_of_eleven_qubits(self, capsys):
         code, out, _ = run(capsys, "invariant", "--state", "ghz:11", "--pair", "1,2")
         assert code == 0
@@ -280,19 +327,32 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _run_limited(*argv):
+    """The CLI in a child process: an allocation that slips past a size guard
+    fails fast under the child's address-space limit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "stokesinv.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+
+
 class TestSizeGuard:
     @pytest.mark.parametrize("spec", ["ghz:40", "w:40", "mixed:max:40", "basis:" + "0" * 40])
     def test_refused_before_allocation(self, spec):
-        # an allocation that slips through fails fast under the child's limit
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "stokesinv.cli", "invariant", "--state", spec],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-            preexec_fn=_limit_address_space,
-        )
+        proc = _run_limited("invariant", "--state", spec)
         assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "OutOfRange"
+
+    def test_tomography_refused_before_allocation(self):
+        # a 195 GiB (16*6^13-byte) probability tensor, refused before the
+        # 1 GiB density matrix is built
+        proc = _run_limited("tomo", "--state", "ghz:13", "--shots", "0")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
         assert json.loads(proc.stderr)["error"] == "OutOfRange"

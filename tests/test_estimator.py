@@ -1,10 +1,13 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stokesinv import estimator, qstate, stokes
-from stokesinv.errors import DimensionMismatch, ZeroShots
+from stokesinv.errors import DimensionMismatch, OutOfRange, ZeroShots
 
-from oracles import tomography_bruteforce
+from oracles import EIGBASIS, tomography_bruteforce
 
 
 def bell():
@@ -49,6 +52,14 @@ class TestSwapNetwork:
         with pytest.raises(ZeroShots):
             estimator.swap_network_estimate(bell(), bell(), 0, 0)
 
+    def test_shot_count_beyond_the_sampler(self):
+        rho = bell()
+        with pytest.raises(OutOfRange):
+            estimator.swap_network_estimate(rho, rho, 2**63, 0)
+        rep = estimator.swap_network_estimate(rho, rho, 2**63 - 1, 0)
+        assert rep.shots == 2**63 - 1
+        assert rep.estimate == pytest.approx(1.0, abs=1e-12)
+
     def test_unbiased(self):
         rho = qstate.random_mixed(2, 2, 13)
         flip = stokes.spin_flip(rho)
@@ -71,6 +82,21 @@ class TestTomography:
             assert res.invariant_hat == pytest.approx(
                 stokes.minkowski_invariant(exact), abs=1e-10
             )
+
+    def test_probability_maps_match_explicit_loop(self):
+        # _PROBS[(a, o), (r, c)] = conj(U_a[r, o]) U_a[c, o]; _PROBS2 on a
+        # (r1 r2 c1 c2) block
+        probs = np.zeros((3, 2, 2, 2), dtype=complex)
+        for a, o, r, c in itertools.product(range(3), *[range(2)] * 3):
+            u = EIGBASIS[a + 1]
+            probs[a, o, r, c] = np.conj(u[r, o]) * u[c, o]
+        probs = probs.reshape(6, 4)
+        assert np.array_equal(estimator._PROBS, probs)
+        probs2 = np.zeros((36, 16), dtype=complex)
+        for i, j, r1, r2, c1, c2 in itertools.product(range(6), range(6), *[range(2)] * 4):
+            block = 8 * r1 + 4 * r2 + 2 * c1 + c2
+            probs2[6 * i + j, block] = probs[i, 2 * r1 + c1] * probs[j, 2 * r2 + c2]
+        assert np.array_equal(estimator._PROBS2, probs2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_bruteforce(self, n):
@@ -139,6 +165,24 @@ class TestTomography:
         mixed = qstate.random_mixed(2, 3, 13)
         ratio = self._mean_abs_error(mixed, 4000) / self._mean_abs_error(mixed, 1000)
         assert 0.5 * 0.7 <= ratio <= 0.5 * 1.3
+
+    def test_shot_count_beyond_the_sampler(self):
+        with pytest.raises(OutOfRange):
+            estimator.tomography_simulate(bell(), 2**63, 0)
+        res = estimator.tomography_simulate(bell(), 2**63 - 1, 0)
+        assert res.invariant_hat == pytest.approx(1.0, abs=1e-6)
+
+    def test_peak_memory_is_what_the_size_guard_charges(self):
+        n = 6
+        rho = qstate.random_mixed(n, 2, 950)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            estimator.tomography_simulate(rho, 0, 0, infinite=True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 24 * 6**n
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ZeroShots):

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,22 @@ class TestSpinFlip:
         rho = qstate.random_mixed(n, 2, 420 + n)
         want = spin_flip_bruteforce(rho.matrix, n)
         assert np.array_equal(stokes.spin_flip(rho).matrix, want)
+
+    def test_one_allocation(self):
+        n = 8
+        rho = qstate.random_mixed(n, 2, 428)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = stokes.spin_flip(rho)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the result itself; the margin holds numpy's broadcasting buffer
+        # (8192 elements), the 2^n sign vector and small objects, not a
+        # second 4^n array
+        assert out.matrix.nbytes == 16 * 4**n
+        assert 16 * 4**n <= peak <= 1.25 * 16 * 4**n
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_involution_and_hermiticity(self, n):
