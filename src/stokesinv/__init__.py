@@ -9,8 +9,6 @@ from .qstate import (
     basis_state,
     eigh,
     ghz_state,
-    is_hermitian,
-    is_psd,
     kron,
     kron_all,
     maximally_mixed,

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import estimator, measures, qstate, slocc, stokes
-from .errors import OutOfRange, ParseError, StokesInvError, WrongQubitCount
+from .errors import TOLERANCES, OutOfRange, ParseError, StokesInvError, WrongQubitCount, check
 from .qstate import DensityMatrix, PureState
 
 
@@ -81,8 +81,7 @@ def state_from_json(doc: dict):
         raise ParseError("state document needs n >= 1")
     if "amplitudes" in doc:
         psi = PureState(n, amps)
-        if not abs(psi.norm_sq - 1.0) <= 1e-9:
-            raise ParseError("pure state amplitudes are not normalized")
+        check("amplitude_norm", abs(psi.norm_sq - 1.0), ParseError, "| |psi|^2 - 1 |")
         return psi
     if not np.all(np.isfinite(m)):
         raise ParseError("state document has a non-finite matrix entry")
@@ -96,8 +95,8 @@ def state_from_json(doc: dict):
     # keeps sum S^2 = 2^n Tr rho^2 <= 2^n (Tr rho)^2, Tr rho^2 and Tr rho rho~ finite
     if rho.trace >= bound:
         raise OutOfRange("density matrix trace %g overflows its Stokes norms" % rho.trace)
-    rho.normalized = abs(rho.trace - 1.0) <= 1e-8
-    rho.validate(tol=1e-8)
+    rho.normalized = abs(rho.trace - 1.0) <= TOLERANCES["document"]
+    rho.validate()
     return rho
 
 

@@ -8,7 +8,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutOfRange, ZeroShots
+from .errors import (
+    TOLERANCES,
+    DimensionMismatch,
+    EnsembleAnnihilated,
+    OutOfRange,
+    ZeroShots,
+    check,
+)
 from .qstate import _refuse_beyond_memory, as_density, kron_all
 from .stokes import (
     StokesTensor,
@@ -124,7 +131,8 @@ def tomography_simulate(
     With `infinite=True` (and shots_per_setting = 0) the exact outcome
     probabilities stand in for the frequencies. The complex probability
     tensor and its real copy by setting take 24 * 6^n bytes; a request that
-    would exceed physical memory is refused before any allocation.
+    would exceed physical memory is refused before any allocation, and so is
+    a state whose trace leaves no outcome probabilities to normalise.
     """
     if infinite:
         if shots_per_setting != 0:
@@ -137,6 +145,7 @@ def tomography_simulate(
         24 * 6**n, "tomography of %d qubits: 24*6^%d bytes of probabilities" % (n, n)
     )
     rho = as_density(rho)
+    check("annihilation", rho.trace, EnsembleAnnihilated, "trace of the measured state")
     by_setting = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     probs = _apply_legs(_to_pair_tensor(rho.matrix, n), _block_legs(_PROBS, _PROBS2, n))
     # a real copy, one row per setting with qubit 1 first; releasing the
@@ -145,7 +154,7 @@ def tomography_simulate(
     del probs
     # clips negatives, and snaps the ~1e-32 left where exact zeros cancel: a
     # binomial draw at p > 0 consumes random numbers that one at p = 0 does not
-    freqs[freqs < 1e-15] = 0.0
+    freqs[freqs < TOLERANCES["zero_probability"]] = 0.0
     freqs /= freqs.sum(axis=1, keepdims=True)
     if not infinite:
         root = int(seed) & (2**63 - 1)

@@ -15,6 +15,7 @@ from .errors import (
     NegativeTangle,
     OutOfRange,
     WrongQubitCount,
+    check,
 )
 from .qstate import SIGMA, PureState, as_density, partial_trace, sqrt_psd
 
@@ -75,8 +76,7 @@ def tangle_pure2(psi: PureState) -> float:
 def eof_from_tangle(tau: float) -> float:
     """Entanglement of formation h((1 + sqrt(1 - tau)) / 2) with the binary
     entropy h; 0 log 0 taken as 0."""
-    if not -1e-12 <= tau <= 1 + 1e-12:
-        raise OutOfRange("tangle %g outside [0, 1]" % tau)
+    check("tangle_range", max(-tau, tau - 1.0), OutOfRange, "tangle's distance outside [0, 1]")
     tau = min(max(tau, 0.0), 1.0)
     x = 0.5 * (1.0 + np.sqrt(1.0 - tau))
     return float(_binary_entropy(x))
@@ -113,8 +113,7 @@ def three_tangle(psi: PureState) -> float:
 
 
 def _clip_tangle(tau: float) -> float:
-    if tau < -1e-8:
-        raise NegativeTangle("three-tangle %g below -1e-8" % tau)
+    check("negative_tangle", -tau, NegativeTangle, "minus the three-tangle")
     return float(min(max(tau, 0.0), 1.0))
 
 
@@ -203,6 +202,5 @@ def ckw_report(psi: PureState) -> dict:
             rep["S2_" + name] - rep["C2_" + name] - 0.5 * rep["tau_ABC"]
         )
     worst = max(abs(rep["residual_" + k]) for k in ("A", "B", "C", "AB", "AC", "BC"))
-    if worst > 1e-6:
-        raise IdentityViolation("monogamy residual %g exceeds 1e-6" % worst)
+    check("monogamy", worst, IdentityViolation, "largest monogamy residual")
     return rep

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    TOLERANCES,
     BadRank,
     BadStateName,
     BadSubsystem,
     NonHermitianInput,
     NotPositiveSemidefinite,
     OutOfRange,
+    check,
 )
 
 SIGMA = np.array(
@@ -33,17 +35,15 @@ SIGMA = np.array(
 """Identity and the three Pauli matrices, indexed 0..3."""
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+def _hermitian_part(m: np.ndarray, name: str) -> np.ndarray:
+    """(m + m^dagger) / 2, once max |m - m^dagger| passes tolerance `name`."""
+    h = m.conj().T
+    check(name, float(np.max(np.abs(m - h))), NonHermitianInput, "anti-Hermitian residue")
+    return 0.5 * (m + h)
 
 
-def _min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of m."""
-    return float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
-
-
-def is_psd(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return is_hermitian(m, tol) and _min_eigenvalue(m) >= -tol
+def _check_psd(least_eigenvalue: float, name: str) -> None:
+    check(name, -least_eigenvalue, NotPositiveSemidefinite, "minus the least eigenvalue")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -55,23 +55,25 @@ def kron_all(mats) -> np.ndarray:
     return functools.reduce(np.kron, mats)
 
 
-def eigh(m: np.ndarray, tol: float = 1e-10):
+def eigh(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Returns (eigenvalues, eigenvectors) with eigenvectors as columns.
     """
-    if not is_hermitian(m, tol):
-        raise NonHermitianInput("matrix is not Hermitian within %.1e" % tol)
-    return np.linalg.eigh(0.5 * (m + m.conj().T))
+    return np.linalg.eigh(_hermitian_part(m, "hermitian"))
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-1e-10, 0) are clamped to 0."""
+    """Hermitian PSD square root; eigenvalues that pass the "psd" check are clamped to 0."""
     vals, vecs = eigh(m)
-    if vals[0] < -1e-10:
-        raise NotPositiveSemidefinite("eigenvalue %g below -1e-10" % vals[0])
+    _check_psd(vals[0], "psd")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def _has_dim(length: int, n: int) -> bool:
+    """length == 2^n, decided without forming 2^n for a huge n."""
+    return length.bit_length() == n + 1 and length == 2**n
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +85,7 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != 2**self.n_qubits:
+        if not _has_dim(amps.size, self.n_qubits):
             raise BadStateName(
                 "amplitude count %d != 2^%d" % (amps.size, self.n_qubits)
             )
@@ -116,10 +118,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
-        d = 2**self.n_qubits
-        if self.matrix.shape != (d, d):
+        shape = self.matrix.shape
+        if len(shape) != 2 or shape[0] != shape[1] or not _has_dim(shape[0], self.n_qubits):
             raise BadStateName(
-                "matrix shape %s != (%d, %d)" % (self.matrix.shape, d, d)
+                "matrix shape %s is not (2^%d, 2^%d)" % (shape, self.n_qubits, self.n_qubits)
             )
 
     @property
@@ -128,16 +130,16 @@ class DensityMatrix:
 
     @property
     def psd_ok(self) -> bool:
-        """Hermitian part PSD within 1e-10, recomputed (O(8^n)) on every read."""
-        return _min_eigenvalue(self.matrix) >= -1e-10
+        """Hermitian part PSD within tolerance "psd", recomputed (O(8^n)) on every read."""
+        least = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0]
+        return bool(-least <= TOLERANCES["psd"])
 
-    def validate(self, tol: float = 1e-10) -> None:
-        if not is_hermitian(self.matrix, tol):
-            raise NonHermitianInput("density matrix not Hermitian")
-        if _min_eigenvalue(self.matrix) < -tol:
-            raise NotPositiveSemidefinite("density matrix has a negative eigenvalue")
-        if self.normalized and abs(self.trace - 1.0) > tol:
-            raise NonHermitianInput("normalized density matrix has trace != 1")
+    def validate(self) -> None:
+        """Hermitian, PSD and, if `normalized`, of unit trace, within tolerance "document"."""
+        h = _hermitian_part(self.matrix, "document")
+        _check_psd(np.linalg.eigvalsh(h)[0], "document")
+        if self.normalized:
+            check("document", abs(self.trace - 1.0), NonHermitianInput, "trace deviation from 1")
 
     def purity(self) -> float:
         return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
@@ -184,8 +186,11 @@ def _refuse_beyond_memory(nbytes: int, what: str) -> None:
 
 def _checked_dim(n: int) -> int:
     """2^n, refused before any allocation when the 16*4^n-byte density
-    matrix of n qubits would exceed this machine's physical memory."""
-    _refuse_beyond_memory(16 * 4**n, "%d qubits: a 16*4^%d-byte density matrix" % (n, n))
+    matrix of n qubits would exceed this machine's physical memory. The
+    exponent is capped at 64, whose 2^132 bytes no memory holds, so a huge n
+    is refused without forming 4^n."""
+    nbytes = 16 * 4 ** min(n, 64)
+    _refuse_beyond_memory(nbytes, "%d qubits: a 16*4^%d-byte density matrix" % (n, n))
     return 2**n
 
 
@@ -289,5 +294,5 @@ def random_sl2c(seed) -> np.ndarray:
     while True:
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         det = np.linalg.det(m)
-        if abs(det) >= 1e-6:
+        if abs(det) >= TOLERANCES["sl2c_det"]:
             return m / np.sqrt(det)

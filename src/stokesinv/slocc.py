@@ -13,6 +13,7 @@ from .errors import (
     NotUnimodular,
     OutOfRange,
     ParseError,
+    check,
 )
 from .qstate import DensityMatrix, as_density, kron_all
 from .stokes import _BWD, _FWD, _apply_legs, _pair_legs
@@ -32,8 +33,7 @@ class LocalOperation:
                 raise DimensionMismatch("local operator must be 2x2")
             if not np.all(np.isfinite(o)):
                 raise ParseError("local operator has a non-finite entry")
-            if abs(np.linalg.det(o)) <= 1e-9:
-                raise DimensionMismatch("local operator is singular")
+            check("singular", abs(np.linalg.det(o)), DimensionMismatch, "local operator |det|")
 
     def __len__(self):
         return len(self.ops)
@@ -71,13 +71,16 @@ class FilterReport:
         return asdict(self)
 
 
-def lorentz_of(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _check_unimodular(a: np.ndarray) -> None:
+    check("unimodular", abs(np.linalg.det(a) - 1.0), NotUnimodular, "filter operator |det - 1|")
+
+
+def lorentz_of(a: np.ndarray) -> np.ndarray:
     """4x4 Lorentz matrix induced by a det-1 operator:
     L[mu, nu] = Tr(sigma_mu a sigma_nu a^dagger) / 2, i.e. rho -> a rho a^dagger
     (kron(a, conj(a)) on row-major flattened rho) between one leg's Stokes maps."""
     a = np.asarray(a, dtype=complex)
-    if abs(np.linalg.det(a) - 1.0) > tol:
-        raise NotUnimodular("det = %s is not 1" % np.linalg.det(a))
+    _check_unimodular(a)
     return (_FWD @ np.kron(a, a.conj()) @ _BWD).real
 
 
@@ -110,8 +113,7 @@ def apply_lorentz_to_stokes(s: StokesTensor, ls) -> StokesTensor:
 def renormalize(s: StokesTensor) -> StokesTensor:
     """Divide through by the intensity component so values[0] = 1."""
     s0 = s.values[0]
-    if s0 <= 1e-12:
-        raise EnsembleAnnihilated("intensity component %g <= 1e-12" % s0)
+    check("annihilation", s0, EnsembleAnnihilated, "intensity component")
     return StokesTensor(s.n_qubits, s.values / s0)
 
 
@@ -121,15 +123,13 @@ def filter_state(rho, op: LocalOperation) -> FilterReport:
     so the whole effect is the factor 1/attenuation^2."""
     rho = as_density(rho)
     for o in op.ops:
-        if abs(np.linalg.det(o) - 1.0) > 1e-8:
-            raise NotUnimodular("filter operators must have det 1")
+        _check_unimodular(o)
     before = minkowski_invariant(stokes_tensor(rho))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow -> attenuation check
         attenuation = apply_local_to_density(rho, op).trace
-    if attenuation <= 1e-12:
-        raise EnsembleAnnihilated("filter annihilated the ensemble")
     if not attenuation < np.sqrt(np.finfo(float).max):  # NaN, inf, square overflow
         raise OutOfRange("filter attenuation %g is out of float range" % attenuation)
+    check("annihilation", attenuation, EnsembleAnnihilated, "filter attenuation")
     gain = 1.0 / attenuation**2
     return FilterReport(
         attenuation=attenuation,

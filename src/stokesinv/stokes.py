@@ -8,10 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, DimensionMismatch, NonHermitianInput
+from .errors import TOLERANCES, BadLength, DimensionMismatch, NonHermitianInput, check
 from .qstate import SIGMA, DensityMatrix, as_density, kron_all
-
-IMAG_TOL = 1e-8
 
 # Single-qubit maps between a flattened 2x2 matrix and its 4 Stokes components.
 # _FWD[i, 2a+b] = sigma_i[b, a]  so that S_i = sum_ab rho[a,b] sigma_i[b,a]
@@ -111,11 +109,7 @@ def stokes_tensor(rho) -> StokesTensor:
     n = rho.n_qubits
     flat = _apply_legs(_to_pair_tensor(rho.matrix, n), _block_legs(_FWD, _FWD2, n))
     values = np.abs(flat.imag)  # becomes the result, so no 4^n temporary
-    resid = float(values.max())
-    if resid > IMAG_TOL:
-        raise NonHermitianInput(
-            "Stokes component has imaginary residue %g" % resid
-        )
+    check("imag_residue", float(values.max()), NonHermitianInput, "Stokes imaginary residue")
     values[...] = flat.real  # its own buffer: no view pinning the complex one
     return StokesTensor(n, values)
 
@@ -127,7 +121,7 @@ def density_from_stokes(s: StokesTensor) -> DensityMatrix:
     n = s.n_qubits
     legs = _block_legs(_BWD, _BWD2, n)
     m = _from_pair_tensor(_apply_legs(s.values.astype(complex), legs), n)
-    return DensityMatrix(n, m, normalized=abs(np.trace(m).real - 1.0) <= 1e-10)
+    return DensityMatrix(n, m, normalized=abs(np.trace(m).real - 1.0) <= TOLERANCES["trace"])
 
 
 def minkowski_invariant(s: StokesTensor) -> float:
@@ -158,9 +152,9 @@ def hs_overlap(a, b) -> float:
     a, b = as_density(a), as_density(b)
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatch("overlap of %d- and %d-qubit states" % (a.n_qubits, b.n_qubits))
-    val = np.einsum("ij,ji->", a.matrix, b.matrix)
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise NonHermitianInput("overlap has imaginary part %g" % val.imag)
+    val = complex(np.einsum("ij,ji->", a.matrix, b.matrix))
+    relative = abs(val.imag) / max(1.0, abs(val.real))
+    check("overlap_imag", relative, NonHermitianInput, "overlap's relative imaginary part")
     return float(val.real)
 
 

@@ -316,6 +316,16 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("shots", ["1000", "0"])
+    def test_tomography_of_a_zero_trace_state(self, capsys, tmp_path, shots):
+        zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": 1, "matrix": zero}))
+        code, out, err = run(capsys, "tomo", "--state", str(path), "--shots", shots)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "EnsembleAnnihilated"
+
     def test_pair_of_eleven_qubits(self, capsys):
         code, out, _ = run(capsys, "invariant", "--state", "ghz:11", "--pair", "1,2")
         assert code == 0
@@ -349,8 +359,29 @@ class TestSizeGuard:
         assert proc.returncode == 3 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "OutOfRange"
 
+    @pytest.mark.parametrize(
+        "spec, code, error",
+        [
+            ("ghz:100000000000", 3, "OutOfRange"),
+            ("w:100000000000", 3, "OutOfRange"),
+            ("mixed:max:100000000000", 3, "OutOfRange"),
+            ({"n": 100000000000, "matrix": []}, 2, "BadStateName"),
+            ({"n": 100000000000, "amplitudes": []}, 2, "BadStateName"),
+        ],
+        ids=["ghz", "w", "mixed", "matrix-document", "amplitudes-document"],
+    )
+    def test_huge_qubit_count_refused_in_process(self, capsys, tmp_path, spec, code, error):
+        # refused from n alone: no 2^n or 4^n integer is formed on the way
+        if isinstance(spec, dict):
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(spec))
+            spec = str(path)
+        got, out, err = run(capsys, "stokes", "--state", spec)
+        assert got == code and out == ""
+        assert json.loads(err)["error"] == error
+
     def test_tomography_refused_before_allocation(self):
-        # a 195 GiB (16*6^13-byte) probability tensor, refused before the
+        # 292 GiB (24*6^13 bytes) of probability tensors, refused before the
         # 1 GiB density matrix is built
         proc = _run_limited("tomo", "--state", "ghz:13", "--shots", "0")
         assert proc.returncode == 3 and proc.stdout == ""

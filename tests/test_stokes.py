@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stokesinv import estimator, qstate, stokes
+from stokesinv import errors, estimator, qstate, stokes
 from stokesinv.errors import BadLength, DimensionMismatch, NonHermitianInput
 
 from oracles import (
@@ -80,14 +80,14 @@ class TestTwoQubitLegs:
     def test_imaginary_residue_check(self, n, monkeypatch):
         rho = qstate.random_mixed(n, min(4, 2**n), 740 + n).matrix
         # rho + i eps I has imaginary residue 2^n eps, in the intensity component
-        eps = stokes.IMAG_TOL / 2**n
+        eps = errors.TOLERANCES["imag_residue"] / 2**n
         with pytest.raises(NonHermitianInput):
             stokes.stokes_tensor(qstate.DensityMatrix(n, rho + 2j * eps * np.eye(2**n)))
         shifted = rho + 0.5j * eps * np.eye(2**n)
         stokes.stokes_tensor(qstate.DensityMatrix(n, shifted))
         # with no tolerance left the error names the residue: the per-qubit one
         resid = np.max(np.abs(stokes_per_qubit_reference(shifted, n).imag))
-        monkeypatch.setattr(stokes, "IMAG_TOL", 0.0)
+        monkeypatch.setitem(errors.TOLERANCES, "imag_residue", 0.0)
         message = re.escape("residue %g" % resid) + "$"
         with pytest.raises(NonHermitianInput, match=message):
             stokes.stokes_tensor(qstate.DensityMatrix(n, shifted))
