@@ -67,8 +67,10 @@ def state_from_json(doc: dict):
         raise ParseError("state document must be an object with an 'n' field")
     if "amplitudes" not in doc and "matrix" not in doc:
         raise ParseError("state document needs 'amplitudes' or 'matrix'")
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool):  # no 2.9 -> 2, true -> 1
+        raise ParseError("state document's 'n' must be an integer, got %r" % (n,))
     try:
-        n = int(doc["n"])
         if "amplitudes" in doc:
             amps = np.array([complex(z[0], z[1]) for z in doc["amplitudes"]])
         else:

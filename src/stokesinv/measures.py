@@ -22,6 +22,7 @@ from .qstate import SIGMA, PureState, as_density, partial_trace, sqrt_psd
 SIGMA2 = SIGMA[2]
 from .stokes import (
     StokesTensor,
+    euclidean_purity,
     invariant_via_spinflip,
     minkowski_invariant,
     stokes_tensor,
@@ -150,7 +151,7 @@ def measure_report(state) -> MeasureReport:
     rho = as_density(state)
     n = rho.n_qubits
     s = stokes_tensor(rho)
-    purity = rho.purity()
+    purity = euclidean_purity(s)  # 2^-n sum S^2 = Tr rho^2, from the tensor at hand
     rep = MeasureReport(
         purity=purity,
         linearized_entropy=1.0 - purity,

@@ -117,10 +117,20 @@ def stokes_tensor(rho) -> StokesTensor:
 def density_from_stokes(s: StokesTensor) -> DensityMatrix:
     """Inverse of `stokes_tensor`, O(n 4^n). The result is Hermitian by
     construction but not necessarily PSD for arbitrary input; its `psd_ok`
-    runs that check when it is read."""
+    runs that check when it is read.
+
+    The first leg maps the real input with one real product against the leg
+    map's interleaved (Re, Im) columns, viewed as complex: no complex copy of
+    the input, and the same bits as a complex first pass."""
     n = s.n_qubits
-    legs = _block_legs(_BWD, _BWD2, n)
-    m = _from_pair_tensor(_apply_legs(s.values.astype(complex), legs), n)
+    first, *rest = _block_legs(_BWD, _BWD2, n)
+    k = first.shape[0]
+    # w[i, 2j] + 1j w[i, 2j+1] = first[j, i]; kept a transposed view like the
+    # complex pass's operand, so the one-row product at n = 2 keeps its bits too
+    w = np.stack([first.real, first.imag], axis=1).reshape(2 * k, k).T
+    # a temporary, not a local, so the next pass can free it
+    t = _apply_legs((s.values.reshape(k, -1).T @ w).view(complex), rest)
+    m = _from_pair_tensor(t, n)
     return DensityMatrix(n, m, normalized=abs(np.trace(m).real - 1.0) <= TOLERANCES["trace"])
 
 
@@ -135,12 +145,17 @@ def euclidean_purity(s: StokesTensor) -> float:
     return float(np.dot(s.values, s.values) / 2**s.n_qubits)
 
 
+def _parity_signs(n: int) -> np.ndarray:
+    """(-1)^popcount over the 2^n row (or column) indices, (1, -1)^xn."""
+    return kron_all([np.array([1.0, -1.0])] * n)
+
+
 def spin_flip(rho) -> DensityMatrix:
     """rho -> (sigma_y^xn) conj(rho) (sigma_y^xn). sigma_y^xn is a signed
     anti-diagonal permutation, so entry (r, c) is conj(rho) with rows and
     columns reversed, times (-1)^(popcount r + popcount c)."""
     rho = as_density(rho)
-    sign = kron_all([np.array([1.0, -1.0])] * rho.n_qubits)
+    sign = _parity_signs(rho.n_qubits)
     out = np.conjugate(rho.matrix[::-1, ::-1])  # the one 4^n allocation
     out *= sign[:, None]
     out *= sign
@@ -159,6 +174,17 @@ def hs_overlap(a, b) -> float:
 
 
 def invariant_via_spinflip(rho) -> float:
-    """The Stokes scalar computed as Tr(rho spin_flip(rho))."""
+    """The Stokes scalar computed as Tr(rho spin_flip(rho)), without forming
+    the flipped matrix. For Hermitian rho the trace is
+    sum_(r,c) (-1)^(popcount r + popcount c) rho[r, c] rho[~r, ~c], with ~r the
+    reversed index 2^n - 1 - r. The terms at (r, c) and (~r, ~c) are equal, so
+    it is twice the sum over the top half of the rows, one contiguous pass.
+
+    For non-Hermitian rho the result differs from Tr(rho spin_flip(rho)) only
+    at second order in the anti-Hermitian part."""
     rho = as_density(rho)
-    return hs_overlap(rho, spin_flip(rho))
+    m = rho.matrix
+    h = m.shape[0] // 2
+    sign = _parity_signs(rho.n_qubits)
+    prod = m[:h] * m[h:][::-1, ::-1]
+    return float(2.0 * (sign[:h] @ prod @ sign).real)

@@ -173,3 +173,20 @@ def density_per_qubit_reference(values, n):
     t = apply_legs_reference(np.asarray(values, dtype=complex), [BWD] * n)
     perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
     return t.reshape((2, 2) * n).transpose(perm).reshape(2**n, 2**n)
+
+
+def density_complex_copy_reference(values, n):
+    """`density_from_stokes` on a complex copy of its real input: BWD on a
+    lone first qubit when n is odd, then kron(BWD, BWD) with its block's
+    entries reordered to (r1 r2 c1 c2) on each two-qubit block, one product
+    per leg, and the block layout undone. The library maps the first leg
+    with a real product instead; its bits must equal these."""
+    p = np.array(PAULIS)
+    bwd2 = np.einsum("iac,jbd->abcdij", p, p).reshape(16, 16) / 4
+    t = np.asarray(values, dtype=complex)
+    for m in [BWD] * (n % 2) + [bwd2] * (n // 2):
+        t = t.reshape(m.shape[1], -1).T @ m.T
+    blocks = [2] * (n % 2) + [4] * (n // 2)
+    t = t.reshape([w for w in blocks for _ in range(2)])
+    perm = [2 * k for k in range(len(blocks))] + [2 * k + 1 for k in range(len(blocks))]
+    return t.transpose(perm).reshape(2**n, 2**n)

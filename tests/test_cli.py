@@ -6,9 +6,11 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from stokesinv import cli
+from stokesinv import cli, qstate, stokes
+from stokesinv.errors import TOLERANCES
 
 
 def run(capsys, *argv):
@@ -190,6 +192,10 @@ class TestMalformedInput:
             {"n": 0, "amplitudes": [[1.0, 0.0]]},
             {"n": 1, "amplitudes": [[float("nan"), 0.0], [0.0, 0.0]]},
             {"n": 1, "matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+            # an n that is not a JSON integer
+            {"n": 2.9, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+            {"n": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+            {"n": "1", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
         ],
     )
     def test_bad_state_document(self, capsys, tmp_path, doc):
@@ -330,6 +336,55 @@ class TestMalformedInput:
         code, out, _ = run(capsys, "invariant", "--state", "ghz:11", "--pair", "1,2")
         assert code == 0
         assert json.loads(out)["invariant"] == pytest.approx(0.5, abs=1e-12)
+
+
+def _near_tolerance_document(n):
+    """A density document whose anti-Hermitian residue max |m - m^H| is
+    0.9e-8, just inside the "document" tolerance: one real pair
+    m[r, c] += d, m[c, r] -= d. It sits where the mirrored entry rho[~r, ~c]
+    has the largest imaginary part, which is where it moves the imaginary
+    part of the spin-flip sum most; one pair moves each Stokes component's
+    imaginary part by at most 2d, inside the "imag_residue" tolerance."""
+    rho = qstate.random_mixed(n, 2, 50 + n).matrix.copy()
+    r, c = np.unravel_index(np.argmax(np.abs(rho[::-1, ::-1].imag)), rho.shape)
+    rho[r, c] += 0.45e-8
+    rho[c, r] -= 0.45e-8
+    return {"n": n, "matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]}
+
+
+class TestAntiHermitianResidueInsideTolerance:
+    """Documents the "document" tolerance accepts are not refused by the
+    spin-flip route, which has no imaginary-part check of its own."""
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_invariant_accepted(self, capsys, tmp_path, n):
+        doc = _near_tolerance_document(n)
+        rho = cli.state_from_json(doc)
+        m = rho.matrix
+        assert 0.89e-8 <= np.max(np.abs(m - m.conj().T)) <= TOLERANCES["document"]
+        # the whole signed sum over (r, c) of rho[r, c] rho[~r, ~c] has an
+        # imaginary part that an "overlap_imag" check on it would refuse
+        sign = qstate.kron_all([np.array([1.0, -1.0])] * n)
+        full = complex(np.sum(np.outer(sign, sign) * m * m[::-1, ::-1]))
+        assert abs(full.imag) / max(1.0, abs(full.real)) > TOLERANCES["overlap_imag"]
+
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "invariant", "--state", str(path))
+        assert code == 0 and err == ""
+        want = stokes.hs_overlap(rho, stokes.spin_flip(rho))
+        assert abs(json.loads(out)["invariant_spinflip"] - want) <= 1e-13
+
+    def test_measures_accepted(self, capsys, tmp_path):
+        # 5 qubits: at 2, concurrence diagonalises rho under the 1e-10
+        # "hermitian" tolerance, which refuses this residue by itself
+        doc = _near_tolerance_document(5)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measures", "--state", str(path))
+        assert code == 0 and err == ""
+        frobenius_sq = float(np.sum(np.abs(cli.state_from_json(doc).matrix) ** 2))
+        assert json.loads(out)["purity"] == pytest.approx(frobenius_sq, abs=1e-13)
 
 
 def _limit_address_space():

@@ -236,6 +236,28 @@ class TestSharedIntermediates:
             assert measures.ckw_report(psi)["tau_ABC"] == measures.three_tangle(psi)
 
 
+class TestWithoutTheMaterialisedRoutes:
+    """The spin-flip invariant and the report's purity are read without a
+    flipped matrix, an overlap or a second Tr rho^2."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_no_spin_flip_overlap_or_purity(self, n, monkeypatch):
+        rho = qstate.random_mixed(n, min(4, 2**n), 600 + n)
+        invariant = stokes.hs_overlap(rho, stokes.spin_flip(rho))
+        purity = rho.purity()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 4^n route ran")
+
+        monkeypatch.setattr(stokes, "spin_flip", refuse)
+        monkeypatch.setattr(stokes, "hs_overlap", refuse)
+        monkeypatch.setattr(qstate.DensityMatrix, "purity", refuse)
+        assert stokes.invariant_via_spinflip(rho) == pytest.approx(invariant, abs=1e-13)
+        rep = measures.measure_report(rho)
+        assert rep.purity == pytest.approx(purity, abs=1e-13)
+        assert rep.linearized_entropy == 1.0 - rep.purity
+
+
 class TestLocalUnitaryInvariance:
     def test_all_measures(self):
         for seed in range(20):

@@ -1,7 +1,8 @@
 """Property tests of the Stokes-picture identities on random mixed states of
 1 to 7 qubits, so both the even and the odd (lone first qubit) pair layouts
-are drawn, and of the CKW residuals on random pure three-qubit states. The
-example count and derandomization come from conftest.py."""
+are drawn, on indefinite Hermitian matrices of the same sizes, and of the
+CKW residuals on random pure three-qubit states. The example count and
+derandomization come from conftest.py."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,19 @@ def mixed_states(draw):
     n = draw(st.integers(1, 7))
     rank = draw(st.integers(1, min(4, 2**n)))
     return qstate.random_mixed(n, rank, draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def indefinite_hermitian(draw):
+    """A Hermitian matrix of 1 to 7 qubits with unit-variance complex Gaussian
+    entries and its first diagonal entry pushed below minus its Frobenius
+    norm, so it is never PSD."""
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    h = 0.5 * (g + g.conj().T)
+    h[0, 0] -= np.linalg.norm(h) + 1.0
+    return qstate.DensityMatrix(n, h, normalized=False)
 
 
 @st.composite
@@ -59,6 +73,21 @@ def test_infinite_tomography_is_the_stokes_tensor(rho):
 def test_minkowski_is_spin_flip(rho):
     lhs = stokes.minkowski_invariant(stokes.stokes_tensor(rho))
     assert stokes.invariant_via_spinflip(rho) == pytest.approx(lhs, abs=1e-13)
+
+
+@hypothesis.given(indefinite_hermitian())
+def test_spin_flip_sum_is_the_overlap_off_the_psd_cone(rho):
+    want = stokes.hs_overlap(rho, stokes.spin_flip(rho))
+    scale = max(1.0, float(np.linalg.norm(rho.matrix)) ** 2)
+    assert abs(stokes.invariant_via_spinflip(rho) - want) <= 1e-13 * scale
+
+
+@hypothesis.given(indefinite_hermitian())
+def test_round_trip_off_the_psd_cone(rho):
+    back = stokes.density_from_stokes(stokes.stokes_tensor(rho))
+    scale = max(1.0, float(np.max(np.abs(rho.matrix))))
+    assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-13 * scale
+    assert not back.psd_ok
 
 
 @hypothesis.given(filtered_states())

@@ -10,6 +10,7 @@ from stokesinv.errors import BadLength, DimensionMismatch, NonHermitianInput
 
 from oracles import (
     apply_legs_reference,
+    density_complex_copy_reference,
     density_per_qubit_reference,
     minkowski_bruteforce,
     psd_ok_reference,
@@ -183,6 +184,31 @@ class TestDensityFromStokes:
         assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-10
         assert back.normalized
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bits_of_the_complex_copy_route(self, n):
+        values = np.random.default_rng(500 + n).standard_normal(4**n)
+        back = stokes.density_from_stokes(stokes.StokesTensor(n, values))
+        assert np.array_equal(back.matrix, density_complex_copy_reference(values, n))
+
+    def test_two_buffers_at_most(self):
+        n = 8
+        s = stokes.stokes_tensor(qstate.random_mixed(n, 2, 428))
+        peak = _traced_peak(stokes.density_from_stokes, s)
+        # a pass's input and output, then the last output and the result
+        # without the block layout; a buffer kept across passes makes three
+        assert peak <= 2.05 * 16 * 4**n
+
+
+def _traced_peak(f, *args):
+    """Bytes `f(*args)` allocates at its peak, its result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
 
 class TestMinkowskiInvariant:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -297,6 +323,13 @@ class TestInvariantViaSpinflip:
             lhs = stokes.minkowski_invariant(stokes.stokes_tensor(rho))
             rhs = stokes.invariant_via_spinflip(rho)
             assert abs(lhs - rhs) < 1e-9
+
+    def test_half_matrix_product_only(self):
+        n = 8
+        rho = qstate.random_mixed(n, 2, 428)
+        # the top half's products, 8*4^n bytes; the flipped matrix alone
+        # would be 16*4^n
+        assert _traced_peak(stokes.invariant_via_spinflip, rho) <= 0.55 * 16 * 4**n
 
 
 class TestHsOverlap:
