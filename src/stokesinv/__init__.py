@@ -9,7 +9,6 @@ from .qstate import (
     basis_state,
     eigh,
     ghz_state,
-    kron,
     kron_all,
     maximally_mixed,
     partial_trace,

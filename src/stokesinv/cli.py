@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import estimator, measures, qstate, slocc, stokes
-from .errors import TOLERANCES, OutOfRange, ParseError, StokesInvError, WrongQubitCount, check
+from .errors import OutOfRange, ParseError, StokesInvError, WrongQubitCount, check
 from .qstate import DensityMatrix, PureState
 
 
@@ -97,7 +97,6 @@ def state_from_json(doc: dict):
     # keeps sum S^2 = 2^n Tr rho^2 <= 2^n (Tr rho)^2, Tr rho^2 and Tr rho rho~ finite
     if rho.trace >= bound:
         raise OutOfRange("density matrix trace %g overflows its Stokes norms" % rho.trace)
-    rho.normalized = abs(rho.trace - 1.0) <= TOLERANCES["document"]
     rho.validate()
     return rho
 

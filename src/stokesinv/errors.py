@@ -7,8 +7,7 @@ EXIT_NUMERIC = 4
 TOLERANCES = {
     "hermitian": 1e-10,  # max |m - m^dagger| of a matrix to diagonalize
     "psd": 1e-10,  # minus the smallest eigenvalue of a density matrix
-    "trace": 1e-10,  # |Tr rho - 1| for density_from_stokes's `normalized`
-    "document": 1e-8,  # a density-matrix document's Hermiticity, PSD, |Tr - 1|
+    "document": 1e-8,  # a density-matrix document's Hermiticity and PSD
     "amplitude_norm": 1e-9,  # | |psi|^2 - 1 | of an amplitude document
     "imag_residue": 1e-8,  # largest |imaginary part| of a Stokes component
     "overlap_imag": 1e-10,  # |Im Tr(a b)| / max(1, |Re Tr(a b)|)

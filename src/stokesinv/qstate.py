@@ -46,12 +46,8 @@ def _check_psd(least_eigenvalue: float, name: str) -> None:
     check(name, -least_eigenvalue, NotPositiveSemidefinite, "minus the least eigenvalue")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with the left factor most significant."""
-    return np.kron(a, b)
-
-
 def kron_all(mats) -> np.ndarray:
+    """Tensor product of `mats` with the first factor most significant."""
     return functools.reduce(np.kron, mats)
 
 
@@ -109,12 +105,11 @@ class PureState:
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """n-qubit density matrix; `normalized` is False for unnormalized
-    post-filtering states awaiting renormalization."""
+    """n-qubit density matrix. Its trace need not be 1: a det-1 filter leaves
+    a state of trace `attenuation`, and `trace` reads it."""
 
     n_qubits: int
     matrix: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -135,11 +130,10 @@ class DensityMatrix:
         return bool(-least <= TOLERANCES["psd"])
 
     def validate(self) -> None:
-        """Hermitian, PSD and, if `normalized`, of unit trace, within tolerance "document"."""
-        h = _hermitian_part(self.matrix, "document")
-        _check_psd(np.linalg.eigvalsh(h)[0], "document")
-        if self.normalized:
-            check("document", abs(self.trace - 1.0), NonHermitianInput, "trace deviation from 1")
+        """Hermitian and PSD within tolerance "document"; keeps the Hermitian
+        part it checked as the matrix, so later checks see what passed."""
+        self.matrix = _hermitian_part(self.matrix, "document")
+        _check_psd(np.linalg.eigvalsh(self.matrix)[0], "document")
 
     def purity(self) -> float:
         return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
@@ -171,7 +165,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     out = [k - 1 for k in keep] + [n + k - 1 for k in keep]
     sub = np.einsum(t, list(range(n)) + col, out)
     m = len(keep)
-    return DensityMatrix(m, sub.reshape(2**m, 2**m), normalized=rho.normalized)
+    return DensityMatrix(m, sub.reshape(2**m, 2**m))
 
 
 # ---------------------------------------------------------------------------

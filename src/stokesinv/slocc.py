@@ -38,14 +38,6 @@ class LocalOperation:
     def __len__(self):
         return len(self.ops)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ops": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in o]
-                for o in self.ops
-            ]
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LocalOperation":
         try:
@@ -96,7 +88,7 @@ def apply_local_to_density(rho, op: LocalOperation) -> DensityMatrix:
     left = kron_all(op.ops[: n // 2]) if n > 1 else np.eye(1)
     right = kron_all(op.ops[n // 2 :])
     out = _apply_legs(rho.matrix, [left, right, left.conj(), right.conj()])
-    return DensityMatrix(n, out.reshape(2**n, 2**n), normalized=False)
+    return DensityMatrix(n, out.reshape(2**n, 2**n))
 
 
 def apply_lorentz_to_stokes(s: StokesTensor, ls) -> StokesTensor:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TOLERANCES, BadLength, DimensionMismatch, NonHermitianInput, check
+from .errors import BadLength, DimensionMismatch, NonHermitianInput, check
 from .qstate import SIGMA, DensityMatrix, as_density, kron_all
 
 # Single-qubit maps between a flattened 2x2 matrix and its 4 Stokes components.
@@ -130,8 +130,7 @@ def density_from_stokes(s: StokesTensor) -> DensityMatrix:
     w = np.stack([first.real, first.imag], axis=1).reshape(2 * k, k).T
     # a temporary, not a local, so the next pass can free it
     t = _apply_legs((s.values.reshape(k, -1).T @ w).view(complex), rest)
-    m = _from_pair_tensor(t, n)
-    return DensityMatrix(n, m, normalized=abs(np.trace(m).real - 1.0) <= TOLERANCES["trace"])
+    return DensityMatrix(n, _from_pair_tensor(t, n))
 
 
 def minkowski_invariant(s: StokesTensor) -> float:
@@ -159,7 +158,7 @@ def spin_flip(rho) -> DensityMatrix:
     out = np.conjugate(rho.matrix[::-1, ::-1])  # the one 4^n allocation
     out *= sign[:, None]
     out *= sign
-    return DensityMatrix(rho.n_qubits, out, normalized=rho.normalized)
+    return DensityMatrix(rho.n_qubits, out)
 
 
 def hs_overlap(a, b) -> float:

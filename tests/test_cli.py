@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from stokesinv import cli, qstate, stokes
+from stokesinv import cli, measures, qstate, stokes
 from stokesinv.errors import TOLERANCES
 
 
@@ -352,21 +352,28 @@ def _near_tolerance_document(n):
     return {"n": n, "matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]}
 
 
+def _document_matrix(doc):
+    return np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
+
+
 class TestAntiHermitianResidueInsideTolerance:
-    """Documents the "document" tolerance accepts are not refused by the
-    spin-flip route, which has no imaginary-part check of its own."""
+    """Documents the "document" tolerance accepts are refused by no later
+    check: neither by the spin-flip route, which has no imaginary-part check
+    of its own, nor by the tighter "hermitian" tolerance of concurrence."""
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_invariant_accepted(self, capsys, tmp_path, n):
         doc = _near_tolerance_document(n)
-        rho = cli.state_from_json(doc)
-        m = rho.matrix
-        assert 0.89e-8 <= np.max(np.abs(m - m.conj().T)) <= TOLERANCES["document"]
-        # the whole signed sum over (r, c) of rho[r, c] rho[~r, ~c] has an
+        raw = _document_matrix(doc)
+        assert 0.89e-8 <= np.max(np.abs(raw - raw.conj().T)) <= TOLERANCES["document"]
+        # the whole signed sum over (r, c) of raw[r, c] raw[~r, ~c] has an
         # imaginary part that an "overlap_imag" check on it would refuse
         sign = qstate.kron_all([np.array([1.0, -1.0])] * n)
-        full = complex(np.sum(np.outer(sign, sign) * m * m[::-1, ::-1]))
+        full = complex(np.sum(np.outer(sign, sign) * raw * raw[::-1, ::-1]))
         assert abs(full.imag) / max(1.0, abs(full.real)) > TOLERANCES["overlap_imag"]
+        rho = cli.state_from_json(doc)
+        m = rho.matrix
+        assert np.array_equal(m, m.conj().T)
 
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
@@ -375,16 +382,42 @@ class TestAntiHermitianResidueInsideTolerance:
         want = stokes.hs_overlap(rho, stokes.spin_flip(rho))
         assert abs(json.loads(out)["invariant_spinflip"] - want) <= 1e-13
 
-    def test_measures_accepted(self, capsys, tmp_path):
-        # 5 qubits: at 2, concurrence diagonalises rho under the 1e-10
-        # "hermitian" tolerance, which refuses this residue by itself
-        doc = _near_tolerance_document(5)
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_measures_accepted(self, capsys, tmp_path, n):
+        doc = _near_tolerance_document(n)
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "measures", "--state", str(path))
         assert code == 0 and err == ""
+        got = json.loads(out)
         frobenius_sq = float(np.sum(np.abs(cli.state_from_json(doc).matrix) ** 2))
-        assert json.loads(out)["purity"] == pytest.approx(frobenius_sq, abs=1e-13)
+        assert got["purity"] == pytest.approx(frobenius_sq, abs=1e-13)
+        if n == 2:
+            raw = _document_matrix(doc)
+            hermitian = qstate.DensityMatrix(2, 0.5 * (raw + raw.conj().T))
+            assert got["concurrence"] == pytest.approx(measures.concurrence(hermitian), abs=1e-14)
+
+
+_NAMED = [
+    "bell:phi+", "bell:phi-", "bell:psi+", "bell:psi-", "ghz:3", "ghz:4",
+    "w:3", "w:4", "schmidt:0.9", "schmidt:0.3", "basis:010", "mixed:max:2",
+]
+
+
+@pytest.mark.parametrize("spec", _NAMED)
+def test_density_document_is_the_named_state(capsys, tmp_path, spec):
+    """A named state's density-matrix document prints what the name prints."""
+    path = str(tmp_path / "d.json")
+    assert run(capsys, "state", "--state", spec, "--as-density", "--out", path) == (0, "", "")
+    for argv in (
+        ["stokes"],
+        ["invariant"],
+        ["invariant", "--pair", "1,2"],
+        ["tomo", "--shots", "100", "--seed", "7"],
+    ):
+        from_name = run(capsys, *argv, "--state", spec)
+        assert from_name[0] == 0
+        assert run(capsys, *argv, "--state", path) == from_name
 
 
 def _limit_address_space():

@@ -21,23 +21,23 @@ def bell_rho():
 
 class TestKron:
     def test_identity(self):
-        assert np.allclose(qstate.kron(I2, I2), np.eye(4))
+        assert np.allclose(qstate.kron_all([I2, I2]), np.eye(4))
 
     def test_sigma_z_left(self):
         assert np.allclose(
-            qstate.kron(qstate.SIGMA[3], I2), np.diag([1, 1, -1, -1])
+            qstate.kron_all([qstate.SIGMA[3], I2]), np.diag([1, 1, -1, -1])
         )
 
     def test_bell_xx_expectation(self):
         # frozen from the explicit 4x4 trace: Tr(rho_Bell sigma_x x sigma_x) = 1
-        xx = qstate.kron(qstate.SIGMA[1], qstate.SIGMA[1])
+        xx = qstate.kron_all([qstate.SIGMA[1], qstate.SIGMA[1]])
         assert np.trace(bell_rho() @ xx).real == pytest.approx(1.0, abs=1e-12)
 
     def test_associativity(self):
         rng = np.random.default_rng(0)
         a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
-        lhs = qstate.kron(qstate.kron(a, b), c)
-        rhs = qstate.kron(a, qstate.kron(b, c))
+        lhs = qstate.kron_all([qstate.kron_all([a, b]), c])
+        rhs = qstate.kron_all([a, qstate.kron_all([b, c])])
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

@@ -81,7 +81,6 @@ class TestApplyLocalToDensity:
         op = slocc.LocalOperation([np.eye(2)] * 2)
         out = slocc.apply_local_to_density(rho, op)
         assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-15
-        assert not out.normalized
 
     def test_unitary_preserves_trace(self):
         rho = qstate.random_mixed(3, 4, 2)

@@ -182,7 +182,6 @@ class TestDensityFromStokes:
             monkeypatch.setattr(np.linalg, name, refuse)
         back = stokes.density_from_stokes(s)
         assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-10
-        assert back.normalized
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_bits_of_the_complex_copy_route(self, n):
