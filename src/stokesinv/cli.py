@@ -238,8 +238,16 @@ def cmd_state(args):
     _emit(doc, args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ParseError, so it exits 2 with a JSON line
+    like every other bad input; its subcommand parsers inherit this."""
+
+    def error(self, message):
+        raise ParseError("%s: %s" % (self.prog, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="stokesinv",
         description="Generalized Stokes tensors, SLOCC invariants and "
         "entanglement measures for n-qubit states.",
@@ -294,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except StokesInvError as exc:
         err = {"error": type(exc).__name__, "message": str(exc), "code": exc.exit_code}

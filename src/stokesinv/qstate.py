@@ -251,25 +251,28 @@ def maximally_mixed(n: int) -> DensityMatrix:
 
 def random_pure(n: int, seed) -> PureState:
     """Haar-random pure state via normalized complex Gaussian amplitudes."""
+    d = _checked_dim(n)
     rng = np.random.default_rng(seed)
-    d = 2**n
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(n, z / np.linalg.norm(z))
 
 
 def random_mixed(n: int, rank: int, seed) -> DensityMatrix:
-    """Mixture of `rank` Haar-random pure states with flat Dirichlet weights."""
-    if not 1 <= rank <= 2**n:
-        raise BadRank("rank %d not in 1..%d" % (rank, 2**n))
+    """Mixture of `rank` Haar-random pure states with flat Dirichlet weights
+    w_k, formed as one Gram product A A^dagger: column k of A is
+    sqrt(w_k) z_k / |z_k| for a complex Gaussian z_k. It draws the weights,
+    then each z_k's real and imaginary parts. The result is Hermitian to
+    rounding and is the only 2^n x 2^n allocation."""
+    d = _checked_dim(n)
+    if not 1 <= rank <= d:
+        raise BadRank("rank %d not in 1..%d" % (rank, d))
     rng = np.random.default_rng(seed)
-    d = 2**n
     w = rng.dirichlet(np.ones(rank))
-    m = np.zeros((d, d), dtype=complex)
-    for p in w:
+    a = np.empty((rank, d), dtype=complex)  # row k is column k of A
+    for k, p in enumerate(w):
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        z /= np.linalg.norm(z)
-        m += p * np.outer(z, z.conj())
-    return DensityMatrix(n, m)
+        a[k] = np.sqrt(p) / np.linalg.norm(z) * z
+    return DensityMatrix(n, a.T @ a.conj())
 
 
 def random_su2(seed) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, DimensionMismatch, NonHermitianInput, check
+from .errors import BadLength, DimensionMismatch, NonHermitianInput, OutOfRange, check
 from .qstate import SIGMA, DensityMatrix, as_density, kron_all
 
 # Single-qubit maps between a flattened 2x2 matrix and its 4 Stokes components.
@@ -38,17 +38,19 @@ class StokesTensor:
             )
 
     def __getitem__(self, digits) -> float:
-        return float(self.values[flatten_index(digits)])
+        """S[i1..in] for one digit 0..3 per qubit, qubit 1's first."""
+        digits = tuple(digits)
+        if len(digits) != self.n_qubits:
+            raise BadLength("%d index digits for %d qubits" % (len(digits), self.n_qubits))
+        m = 0
+        for d in digits:
+            if d not in range(4):
+                raise OutOfRange("index digit %r not in 0..3" % (d,))
+            m = 4 * m + d
+        return float(self.values[m])
 
     def to_json_dict(self) -> dict:
         return {"n": self.n_qubits, "values": [float(v) for v in self.values]}
-
-
-def flatten_index(digits) -> int:
-    m = 0
-    for d in digits:
-        m = 4 * m + d
-    return m
 
 
 @functools.lru_cache(maxsize=None)

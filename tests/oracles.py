@@ -190,3 +190,18 @@ def density_complex_copy_reference(values, n):
     t = t.reshape([w for w in blocks for _ in range(2)])
     perm = [2 * k for k in range(len(blocks))] + [2 * k + 1 for k in range(len(blocks))]
     return t.transpose(perm).reshape(2**n, 2**n)
+
+
+def random_mixed_outer_reference(n, rank, seed):
+    """`random_mixed` as a weighted sum of outer products: the same draws
+    (Dirichlet weights, then each vector's real and imaginary parts), one
+    normalized vector and one rank-one term at a time."""
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    w = rng.dirichlet(np.ones(rank))
+    m = np.zeros((d, d), dtype=complex)
+    for p in w:
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        z /= np.linalg.norm(z)
+        m += p * np.outer(z, z.conj())
+    return m

@@ -1,0 +1,131 @@
+"""Fuzz test of the command line: argv drawn from a grammar over the seven
+commands, run in process through `cli.main`. Every run must exit 0, 2, 3 or
+4; a nonzero exit must write exactly one JSON line to stderr, and a zero exit
+nothing. Named states that parse have n <= 5; larger qubit counts are drawn
+only huge, so the size guards refuse them. The derandomized profile comes
+from conftest.py."""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from stokesinv import cli, qstate  # noqa: E402
+
+# Huge, negative, NaN, infinite, non-integer and zero values, and small ones
+# that parse.
+NUMBERS = st.one_of(
+    st.integers(1, 5).map(str),
+    st.sampled_from([
+        "0", "-1", "-12", "2.5", "0.3", "nan", "inf", "-inf", "1e300", "",
+        "100000000000", "10000000000000000000", "1" + "0" * 40,
+    ]),
+)
+# Input paths, resolved in `files`.
+PATHS = st.sampled_from(["@dir", "@missing", "@binary", "@pure", "@density", "@indefinite", "@ops"])
+
+STATES = st.one_of(
+    st.sampled_from(["bell:phi+", "bell:phi-", "bell:psi+", "bell:psi-", "bell:xy", "ghz", "x:1"]),
+    NUMBERS.map("ghz:{}".format),
+    NUMBERS.map("w:{}".format),
+    NUMBERS.map("mixed:max:{}".format),
+    NUMBERS.map("schmidt:{}".format),
+    st.text(alphabet="012", max_size=5).map("basis:{}".format),
+    PATHS,
+)
+OPS = st.one_of(
+    st.builds("boost:{}:a2={}".format, NUMBERS, NUMBERS),
+    st.sampled_from(["boost:1", "boost:1:b2=2", "boost"]),
+    PATHS,
+)
+PAIRS = st.one_of(st.builds("{},{}".format, NUMBERS, NUMBERS), st.sampled_from(["1", "1,2,3", "a,b"]))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["stokes", "invariant", "measures", "filter", "swapnet", "tomo", "state"]))
+    argv = [command]
+    if draw(st.integers(0, 9)):  # --state is required; leave it out sometimes
+        argv += ["--state", draw(STATES)]
+    options = {
+        "--seed": NUMBERS,
+        "--format": st.sampled_from(["json", "csv", "xml"]),
+        "--out": st.sampled_from(["@out", "@dir", "@unwritable"]),
+    }
+    if command == "invariant":
+        options["--pair"] = PAIRS
+    if command == "filter" and draw(st.integers(0, 9)):  # --ops is required
+        argv += ["--ops", draw(OPS)]
+    if command == "swapnet":
+        options["--state-b"] = st.one_of(st.just("flip"), STATES)
+    if command in ("swapnet", "tomo"):
+        options["--shots"] = NUMBERS
+    for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        argv += [name, draw(options[name])]
+    if command == "state" and draw(st.booleans()):
+        argv.append("--as-density")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Path placeholders: a directory, a missing file, binary data, a pure
+    and a density-matrix document, one that is not PSD, a filter document,
+    and outputs."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "state.bin").write_bytes(bytes(range(256)))
+    (d / "pure.json").write_text(json.dumps(qstate.w_state(3).to_json_dict()))
+    (d / "density.json").write_text(json.dumps(qstate.random_mixed(2, 3, 0).to_json_dict()))
+    indefinite = [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
+    (d / "indefinite.json").write_text(json.dumps({"n": 1, "matrix": indefinite}))
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    boost = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    (d / "ops.json").write_text(json.dumps({"ops": [boost, eye]}))
+    names = {
+        "@dir": "", "@missing": "missing.json", "@binary": "state.bin", "@pure": "pure.json",
+        "@density": "density.json", "@indefinite": "indefinite.json", "@ops": "ops.json", "@out": "out.txt",
+        "@unwritable": "missing/out.txt",
+    }
+    return {key: str(d / name) for key, name in names.items()}
+
+
+@hypothesis.settings(max_examples=200)
+@hypothesis.given(argv=argvs())
+def test_every_exit_is_clean(files, argv):
+    argv = [files.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert json.loads(err)["code"] == code, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["stokes", "--state", "bell:phi+", "--seed", "nan"],
+    ["tomo", "--state", "bell:phi+", "--shots", "1e300"],
+    ["invariant"],
+    ["nosuchcommand"],
+    [],
+])
+def test_usage_error_is_one_json_line(capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_valid_documents_are_accepted(files, capsys):
+    # so the fuzz reaches each command's work, not only its refusals
+    for key in ("@pure", "@density"):
+        assert cli.main(["invariant", "--state", files[key]]) == 0
+    assert cli.main(["filter", "--state", "bell:phi+", "--ops", files["@ops"]]) == 0
+    assert capsys.readouterr().err == ""

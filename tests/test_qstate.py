@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from stokesinv.errors import (
     BadSubsystem,
     NonHermitianInput,
     NotPositiveSemidefinite,
+    OutOfRange,
 )
 
-from oracles import partial_trace_bruteforce
+from oracles import partial_trace_bruteforce, random_mixed_outer_reference
 
 I2 = np.eye(2, dtype=complex)
 
@@ -201,6 +204,14 @@ class TestRandom:
         with pytest.raises(BadRank):
             qstate.random_mixed(2, 5, 0)
 
+    @pytest.mark.parametrize("make", [
+        lambda n: qstate.random_mixed(n, 2, 0),
+        lambda n: qstate.random_pure(n, 0),
+    ], ids=["mixed", "pure"])
+    def test_oversized_n_refused(self, make):
+        with pytest.raises(OutOfRange):
+            make(64)
+
     def test_su2(self):
         for seed in range(10):
             u = qstate.random_su2(seed)
@@ -220,3 +231,29 @@ class TestRandom:
             qstate.random_mixed(2, 3, 42).matrix, qstate.random_mixed(2, 3, 42).matrix
         )
         assert np.array_equal(qstate.random_sl2c(42), qstate.random_sl2c(42))
+
+
+class TestRandomMixedGram:
+    """`random_mixed` as one Gram product against the outer-product loop."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_outer_product_loop(self, n):
+        for rank in range(1, min(6, 2**n) + 1):
+            for seed in (0, 7, 12345):
+                m = qstate.random_mixed(n, rank, seed).matrix
+                assert np.max(np.abs(m - random_mixed_outer_reference(n, rank, seed))) <= 1e-15
+                assert abs(np.trace(m) - 1.0) <= 1e-14
+                assert np.max(np.abs(m - m.conj().T)) <= 1e-15
+                assert np.linalg.matrix_rank(m, hermitian=True) == rank
+                assert np.linalg.eigvalsh(m)[0] >= -1e-15
+
+    def test_peak_memory_is_one_matrix(self):
+        n = 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            qstate.random_mixed(n, 4, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 16 * 4**n
