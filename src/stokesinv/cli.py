@@ -4,6 +4,7 @@ measures, filtering and estimator runs, with JSON (default) or CSV output."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import estimator, measures, qstate, slocc, stokes
 from .errors import OutOfRange, ParseError, StokesInvError, WrongQubitCount, check
-from .qstate import DensityMatrix, PureState
+from .qstate import DensityMatrix, PureState, _check_psd, _hermitian_part
 
 
 def parse_state(spec: str):
@@ -62,7 +63,24 @@ def load_state_file(path: str):
     return state_from_json(_read_json(path, "state"))
 
 
+def _complex_entries(value, depth: int, what: str) -> np.ndarray:
+    """The complex array of the [re, im] pairs nested `depth` lists deep in
+    the JSON `value`; ParseError when an entry is no such pair, a number does
+    not fit a float, or the lists are ragged."""
+
+    def decode(x, d):
+        return complex(x[0], x[1]) if d == 0 else [decode(y, d - 1) for y in x]
+
+    try:
+        return np.array(decode(value, depth))
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ParseError("bad %s document: %s" % (what, exc)) from exc
+
+
 def state_from_json(doc: dict):
+    """The state of a document `state_to_json` writes: a pure state whose
+    squared norm is 1, or a Hermitian PSD density matrix (within tolerance
+    "document"), kept as the Hermitian part its checks passed."""
     if not isinstance(doc, dict) or "n" not in doc:
         raise ParseError("state document must be an object with an 'n' field")
     if "amplitudes" not in doc and "matrix" not in doc:
@@ -70,15 +88,10 @@ def state_from_json(doc: dict):
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):  # no 2.9 -> 2, true -> 1
         raise ParseError("state document's 'n' must be an integer, got %r" % (n,))
-    try:
-        if "amplitudes" in doc:
-            amps = np.array([complex(z[0], z[1]) for z in doc["amplitudes"]])
-        else:
-            m = np.array(
-                [[complex(z[0], z[1]) for z in row] for row in doc["matrix"]]
-            )
-    except (IndexError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError("bad state document: %s" % exc) from exc
+    if "amplitudes" in doc:
+        amps = _complex_entries(doc["amplitudes"], 1, "state")
+    else:
+        m = _complex_entries(doc["matrix"], 2, "state")
     if n < 1:
         raise ParseError("state document needs n >= 1")
     if "amplitudes" in doc:
@@ -97,13 +110,25 @@ def state_from_json(doc: dict):
     # keeps sum S^2 = 2^n Tr rho^2 <= 2^n (Tr rho)^2, Tr rho^2 and Tr rho rho~ finite
     if rho.trace >= bound:
         raise OutOfRange("density matrix trace %g overflows its Stokes norms" % rho.trace)
-    rho.validate()
+    rho.matrix = _hermitian_part(rho.matrix, "document")
+    _check_psd(np.linalg.eigvalsh(rho.matrix)[0], "document")
     return rho
+
+
+def state_to_json(state) -> dict:
+    """The document of a pure state (its amplitudes) or a density matrix (its
+    matrix), each entry an [re, im] pair."""
+    if isinstance(state, PureState):
+        amps = state.amplitudes.tolist()
+        return {"n": state.n_qubits, "amplitudes": [[z.real, z.imag] for z in amps]}
+    rows = state.matrix.tolist()
+    return {"n": state.n_qubits, "matrix": [[[z.real, z.imag] for z in row] for row in rows]}
 
 
 def parse_ops(spec: str, n_qubits: int) -> slocc.LocalOperation:
     """Parse a filter spec: 'boost:K:a2=V' (diag(a, 1/a) with a^2 = V on
-    qubit K, identity elsewhere) or a path to a LocalOperation JSON file."""
+    qubit K, identity elsewhere) or a path to an ops JSON file, an object
+    whose 'ops' list holds one 2x2 matrix of [re, im] pairs per qubit."""
     if spec.startswith("boost:"):
         parts = spec.split(":")
         try:
@@ -122,17 +147,19 @@ def parse_ops(spec: str, n_qubits: int) -> slocc.LocalOperation:
         ops = [np.eye(2, dtype=complex) for _ in range(n_qubits)]
         ops[k - 1] = np.diag([a, 1.0 / a]).astype(complex)
         return slocc.LocalOperation(ops)
-    op = slocc.LocalOperation.from_json_dict(_read_json(spec, "ops"))
+    doc = _read_json(spec, "ops")
+    if not isinstance(doc, dict) or not isinstance(doc.get("ops"), list):
+        raise ParseError("ops document must be an object with an 'ops' list")
+    op = slocc.LocalOperation(
+        [_complex_entries(o, 2, "LocalOperation") for o in doc["ops"]]
+    )
     if len(op) != n_qubits:
         raise ParseError("%d ops for %d qubits" % (len(op), n_qubits))
     return op
 
 
 def _labels(n: int):
-    return [
-        "S_" + "".join(map(str, digits))
-        for digits in itertools.product(range(4), repeat=n)
-    ]
+    return ["S_" + "".join(d) for d in itertools.product("0123", repeat=n)]
 
 
 def _emit(doc, args, csv_rows=None):
@@ -151,12 +178,11 @@ def _emit(doc, args, csv_rows=None):
 
 
 def cmd_stokes(args):
-    state = parse_state(args.state)
-    s = stokes.stokes_tensor(qstate.as_density(state))
-    labels = _labels(s.n_qubits)
-    doc = s.to_json_dict()
-    doc["labeled"] = {lab: float(v) for lab, v in zip(labels, s.values)}
-    _emit(doc, args, csv_rows=list(zip(labels, (repr(float(v)) for v in s.values))))
+    s = stokes.stokes_tensor(qstate.as_density(parse_state(args.state)))
+    values = s.values.tolist()
+    labeled = dict(zip(_labels(s.n_qubits), values))
+    doc = {"n": s.n_qubits, "values": values, "labeled": labeled}
+    _emit(doc, args, csv_rows=labeled.items())
 
 
 def cmd_invariant(args):
@@ -186,13 +212,12 @@ def _invariant_doc(rho):
 
 def cmd_measures(args):
     state = parse_state(args.state)
-    rho = qstate.as_density(state)
-    if rho.n_qubits == 3:
+    if state.n_qubits == 3:
         if not isinstance(state, PureState):
             raise WrongQubitCount("3-qubit measures need a pure state")
         doc = {k: float(v) for k, v in measures.ckw_report(state).items()}
     else:
-        doc = measures.measure_report(state).to_json_dict()
+        doc = dataclasses.asdict(measures.measure_report(state))
     _emit(doc, args, csv_rows=[(k, v) for k, v in sorted(doc.items())])
 
 
@@ -200,8 +225,7 @@ def cmd_filter(args):
     state = parse_state(args.state)
     rho = qstate.as_density(state)
     op = parse_ops(args.ops, rho.n_qubits)
-    rep = slocc.filter_state(rho, op)
-    doc = rep.to_json_dict()
+    doc = dataclasses.asdict(slocc.filter_state(rho, op))
     _emit(doc, args, csv_rows=sorted(doc.items()))
 
 
@@ -211,8 +235,7 @@ def cmd_swapnet(args):
         b = stokes.spin_flip(a)
     else:
         b = qstate.as_density(parse_state(args.state_b))
-    rep = estimator.swap_network_estimate(a, b, args.shots, args.seed)
-    doc = rep.to_json_dict()
+    doc = dataclasses.asdict(estimator.swap_network_estimate(a, b, args.shots, args.seed))
     _emit(doc, args, csv_rows=sorted(doc.items()))
 
 
@@ -220,13 +243,20 @@ def cmd_tomo(args):
     state = parse_state(args.state)  # tomography_simulate guards its size first
     infinite = args.shots == 0
     res = estimator.tomography_simulate(state, args.shots, args.seed, infinite=infinite)
-    doc = res.to_json_dict()
+    n, values = res.stokes_hat.n_qubits, res.stokes_hat.values.tolist()
+    doc = {
+        "stokes_hat": {"n": n, "values": values},
+        "shots_per_setting": res.shots_per_setting,
+        "invariant_hat": res.invariant_hat,
+        "psd_ok": res.psd_ok,
+        "seed": res.seed,
+    }
     rows = [
         ("invariant_hat", res.invariant_hat),
         ("psd_ok", res.psd_ok),
         ("shots_per_setting", res.shots_per_setting),
         ("seed", res.seed),
-    ] + list(zip(_labels(res.stokes_hat.n_qubits), res.stokes_hat.values))
+    ] + list(zip(_labels(n), values))
     _emit(doc, args, csv_rows=rows)
 
 
@@ -234,8 +264,7 @@ def cmd_state(args):
     state = parse_state(args.state)
     if args.as_density:
         state = qstate.as_density(state)
-    doc = state.to_json_dict()
-    _emit(doc, args)
+    _emit(state_to_json(state), args)  # JSON under --format csv too
 
 
 class _Parser(argparse.ArgumentParser):
@@ -305,7 +334,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.func(args)
-    except StokesInvError as exc:
+    except (MemoryError, StokesInvError) as exc:
+        if isinstance(exc, MemoryError):  # the backstop of the size guards
+            exc = OutOfRange("out of memory: %s" % (str(exc) or "MemoryError"))
         err = {"error": type(exc).__name__, "message": str(exc), "code": exc.exit_code}
         sys.stderr.write(json.dumps(err) + "\n")
         return exc.exit_code

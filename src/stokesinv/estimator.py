@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -65,9 +65,6 @@ class EstimateReport:
     seed: int
     exact: Optional[float] = None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(eq=False)
 class TomographyResult:
@@ -76,15 +73,6 @@ class TomographyResult:
     invariant_hat: float
     psd_ok: bool
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "stokes_hat": self.stokes_hat.to_json_dict(),
-            "shots_per_setting": self.shots_per_setting,
-            "invariant_hat": self.invariant_hat,
-            "psd_ok": self.psd_ok,
-            "seed": self.seed,
-        }
 
 
 def _check_shot_range(shots: int) -> None:

@@ -4,7 +4,7 @@ three-tangle, and the pair-invariant report for three-qubit pure states."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -140,9 +140,6 @@ class MeasureReport:
     three_tangle: Optional[float] = None
     eof: Optional[float] = None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def measure_report(state) -> MeasureReport:
     """All measures applicable to the given state in one record. Pure-state
@@ -161,7 +158,7 @@ def measure_report(state) -> MeasureReport:
     if n == 2:
         rep.concurrence = concurrence(rho)
         if isinstance(state, PureState):
-            rep.tangle = tangle_pure2(state)
+            rep.tangle = rep.concurrence**2
             rep.eof = eof_from_tangle(rep.tangle)
     if n == 3 and isinstance(state, PureState):
         rep.three_tangle = three_tangle(state)

@@ -96,12 +96,6 @@ class PureState:
             self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj())
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_qubits,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-        }
-
 
 @dataclass(eq=False)
 class DensityMatrix:
@@ -129,22 +123,8 @@ class DensityMatrix:
         least = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0]
         return bool(-least <= TOLERANCES["psd"])
 
-    def validate(self) -> None:
-        """Hermitian and PSD within tolerance "document"; keeps the Hermitian
-        part it checked as the matrix, so later checks see what passed."""
-        self.matrix = _hermitian_part(self.matrix, "document")
-        _check_psd(np.linalg.eigvalsh(self.matrix)[0], "document")
-
     def purity(self) -> float:
         return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n_qubits,
-            "matrix": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.matrix
-            ],
-        }
 
 
 def as_density(state) -> DensityMatrix:

@@ -3,7 +3,7 @@ O(1,3) action on Stokes tensors, and renormalization bookkeeping."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,17 +38,6 @@ class LocalOperation:
     def __len__(self):
         return len(self.ops)
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "LocalOperation":
-        try:
-            ops = [
-                np.array([[complex(z[0], z[1]) for z in row] for row in o])
-                for o in doc["ops"]
-            ]
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ParseError("bad LocalOperation document: %s" % exc) from exc
-        return cls(ops)
-
 
 @dataclass
 class FilterReport:
@@ -58,9 +47,6 @@ class FilterReport:
     invariant_before: float
     invariant_after_renorm: float
     gain: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_unimodular(a: np.ndarray) -> None:

@@ -49,9 +49,6 @@ class StokesTensor:
             m = 4 * m + d
         return float(self.values[m])
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n_qubits, "values": [float(v) for v in self.values]}
-
 
 @functools.lru_cache(maxsize=None)
 def _sign_vector(n: int) -> np.ndarray:

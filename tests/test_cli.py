@@ -85,6 +85,18 @@ class TestMeasuresCommand:
         assert doc["tangle"] == pytest.approx(0.36, abs=1e-9)
         assert doc["eof"] == pytest.approx(0.4689955935892812, abs=1e-9)
 
+    def test_pure_input_builds_one_density_matrix(self, capsys, monkeypatch):
+        to_density = qstate.PureState.to_density
+        calls = []
+
+        def counted(psi):
+            calls.append(psi)
+            return to_density(psi)
+
+        monkeypatch.setattr(qstate.PureState, "to_density", counted)
+        code, _, _ = run(capsys, "measures", "--state", "ghz:4")
+        assert code == 0 and len(calls) == 1
+
 
 class TestFilterCommand:
     def test_schmidt_boost(self, capsys):
@@ -179,6 +191,10 @@ class TestErrors:
         assert json.loads(err)["error"] == "NotPositiveSemidefinite"
 
 
+_ONE, _ZERO = [1.0, 0.0], [0.0, 0.0]
+_EYE = [[_ONE, _ZERO], [_ZERO, _ONE]]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "doc",
@@ -196,6 +212,9 @@ class TestMalformedInput:
             {"n": 2.9, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
             {"n": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
             {"n": "1", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+            # an object in place of an [re, im] pair
+            {"n": 1, "amplitudes": [{"re": 1.0}, [0.0, 0.0]]},
+            {"n": 1, "matrix": [[{"re": 1.0}, [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
         ],
     )
     def test_bad_state_document(self, capsys, tmp_path, doc):
@@ -217,6 +236,31 @@ class TestMalformedInput:
         got, out, err = run(capsys, "filter", "--state", "bell:phi+", "--ops", ops)
         assert got == code and out == ""
         assert json.loads(err)["code"] == code
+
+    @pytest.mark.parametrize(
+        "doc, code, error",
+        [
+            ({"ops": [[[_ONE, _ZERO], [_ZERO]], _EYE]}, 2, "ParseError"),
+            ({"ops": [[[_ONE, _ZERO, _ZERO], [_ZERO, _ONE]], _EYE]}, 2, "ParseError"),
+            ({"ops": [[[[10**400, 0], _ZERO], [_ZERO, _ONE]], _EYE]}, 2, "ParseError"),
+            ({"ops": [[[{"re": 1.0}, _ZERO], [_ZERO, _ONE]], _EYE]}, 2, "ParseError"),
+            ({"ops": 5}, 2, "ParseError"),
+            ([1, 2], 2, "ParseError"),
+            ({"ops": [[[_ONE, _ZERO, _ZERO], [_ZERO, _ONE, _ZERO], [_ZERO, _ZERO, _ONE]], _EYE]},
+             3, "DimensionMismatch"),
+        ],
+        ids=[
+            "ragged-row", "three-entry-row", "huge-integer", "object-entry", "ops-not-a-list",
+            "not-an-object", "three-by-three",
+        ],
+    )
+    def test_bad_ops_document(self, capsys, tmp_path, doc, code, error):
+        path = tmp_path / "ops.json"
+        path.write_text(json.dumps(doc))
+        got, out, err = run(capsys, "filter", "--state", "bell:phi+", "--ops", str(path))
+        assert got == code and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == error
 
     def test_non_finite_ops_file(self, capsys, tmp_path):
         path = tmp_path / "ops.json"
@@ -467,6 +511,14 @@ class TestSizeGuard:
         got, out, err = run(capsys, "stokes", "--state", spec)
         assert got == code and out == ""
         assert json.loads(err)["error"] == error
+
+    @pytest.mark.parametrize("command", ["stokes", "invariant", "measures"])
+    def test_allocation_failure_is_out_of_range(self, command):
+        # the 1 GiB density matrix fits under the limit, the next 1 GiB does not
+        proc = _run_limited(command, "--state", "ghz:13")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"] == "OutOfRange"
 
     def test_tomography_refused_before_allocation(self):
         # 292 GiB (24*6^13 bytes) of probability tensors, refused before the

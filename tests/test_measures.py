@@ -229,6 +229,22 @@ class TestSharedIntermediates:
             )
             assert scalar == rep.stokes_scalar
 
+    @pytest.mark.parametrize("spec", ["phi+", "psi-", "random"])
+    def test_pure_two_qubit_report_takes_one_concurrence(self, spec, monkeypatch):
+        psi = qstate.random_pure(2, 1700) if spec == "random" else qstate.bell_state(spec)
+        want = measures.tangle_pure2(psi)
+        calls = []
+        concurrence = measures.concurrence
+
+        def counted(rho):
+            calls.append(rho)
+            return concurrence(rho)
+
+        monkeypatch.setattr(measures, "concurrence", counted)
+        rep = measures.measure_report(psi)
+        assert len(calls) == 1
+        assert rep.tangle == want == rep.concurrence**2
+
     def test_ckw_tangle_matches_three_tangle(self):
         for psi in [qstate.ghz_state(3), qstate.w_state(3)] + [
             qstate.random_pure(3, 1600 + seed) for seed in range(10)

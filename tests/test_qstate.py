@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stokesinv import qstate
+from stokesinv import cli, qstate
 from stokesinv.errors import (
     BadRank,
     BadStateName,
@@ -197,7 +197,7 @@ class TestRandom:
 
     def test_mixed_valid(self):
         rho = qstate.random_mixed(3, 6, 9)
-        rho.validate()
+        cli.state_from_json(cli.state_to_json(rho))  # Hermitian and PSD
         assert rho.trace == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_rank(self):
