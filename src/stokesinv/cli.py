@@ -38,12 +38,10 @@ def parse_state(spec: str):
             return qstate.schmidt_pair(float(np.arccos(np.sqrt(cos2))))
         if head == "mixed" and len(parts) == 3 and parts[1] == "max":
             return qstate.maximally_mixed(int(parts[2]))
-        if spec.startswith("file:"):
-            return load_state_file(spec[5:])
     except ValueError as exc:
         raise ParseError("bad state spec %r: %s" % (spec, exc)) from exc
     if os.path.exists(spec):
-        return load_state_file(spec)
+        return state_from_json(_read_json(spec, "state"))
     raise ParseError("unrecognized state spec %r" % spec)
 
 
@@ -57,10 +55,6 @@ def _read_json(path: str, what: str):
         raise ParseError("cannot read %s file %s: %s" % (what, path, exc.strerror)) from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError("bad JSON in %s: %s" % (path, exc)) from exc
-
-
-def load_state_file(path: str):
-    return state_from_json(_read_json(path, "state"))
 
 
 def _complex_entries(value, depth: int, what: str) -> np.ndarray:
@@ -178,7 +172,7 @@ def _emit(doc, args, csv_rows=None):
 
 
 def cmd_stokes(args):
-    s = stokes.stokes_tensor(qstate.as_density(parse_state(args.state)))
+    s = stokes.stokes_tensor(parse_state(args.state))
     values = s.values.tolist()
     labeled = dict(zip(_labels(s.n_qubits), values))
     doc = {"n": s.n_qubits, "values": values, "labeled": labeled}
@@ -196,18 +190,14 @@ def cmd_invariant(args):
         if i == j:
             raise ParseError("--pair needs two different qubits, got %r" % args.pair)
         rho = qstate.partial_trace(rho, [i, j])
-    doc = _invariant_doc(rho)
-    _emit(doc, args, csv_rows=sorted(doc.items()))
-
-
-def _invariant_doc(rho):
     s = stokes.stokes_tensor(rho)
-    return {
+    doc = {
         "n": rho.n_qubits,
         "invariant": stokes.minkowski_invariant(s),
         "invariant_spinflip": stokes.invariant_via_spinflip(rho),
         "purity": stokes.euclidean_purity(s),
     }
+    _emit(doc, args, csv_rows=sorted(doc.items()))
 
 
 def cmd_measures(args):
@@ -215,10 +205,10 @@ def cmd_measures(args):
     if state.n_qubits == 3:
         if not isinstance(state, PureState):
             raise WrongQubitCount("3-qubit measures need a pure state")
-        doc = {k: float(v) for k, v in measures.ckw_report(state).items()}
+        doc = measures.ckw_report(state)
     else:
         doc = dataclasses.asdict(measures.measure_report(state))
-    _emit(doc, args, csv_rows=[(k, v) for k, v in sorted(doc.items())])
+    _emit(doc, args, csv_rows=sorted(doc.items()))
 
 
 def cmd_filter(args):

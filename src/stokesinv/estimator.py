@@ -22,6 +22,7 @@ from .stokes import (
     _apply_legs,
     _block_legs,
     _pair_legs,
+    _pair_map,
     _to_pair_tensor,
     density_from_stokes,
     hs_overlap,
@@ -45,9 +46,7 @@ _EIGBASIS = np.array(
 # outcome o under setting a, index 2*(a - 1) + o:
 # _PROBS[(a, o), (r, c)] = conj(U_a[r, o]) U_a[c, o], so p = <u_o| rho |u_o>.
 _PROBS = np.einsum("aro,aco->aorc", _EIGBASIS.conj(), _EIGBASIS).reshape(6, 4)
-# The same on a two-qubit block, its (r1 c1 r2 c2) columns reordered to
-# (r1 r2 c1 c2) as in `stokes._FWD2`.
-_PROBS2 = np.einsum("irc,jsd->ijrscd", *[_PROBS.reshape(6, 2, 2)] * 2).reshape(36, 16)
+_PROBS2 = _pair_map(_PROBS)
 
 # Largest shot count the samplers take (a C long).
 _MAX_SHOTS = np.iinfo(np.int64).max

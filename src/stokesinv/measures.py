@@ -18,8 +18,6 @@ from .errors import (
     check,
 )
 from .qstate import SIGMA, PureState, as_density, partial_trace, sqrt_psd
-
-SIGMA2 = SIGMA[2]
 from .stokes import (
     StokesTensor,
     euclidean_purity,
@@ -27,6 +25,9 @@ from .stokes import (
     minkowski_invariant,
     stokes_tensor,
 )
+
+# sigma_y x sigma_y, the two-qubit spin flip
+_FLIP2 = np.kron(SIGMA[2], SIGMA[2])
 
 
 def polarization_sq(rho, k: int) -> float:
@@ -62,8 +63,7 @@ def concurrence(rho) -> float:
     if rho.n_qubits != 2:
         raise WrongQubitCount("concurrence needs 2 qubits, got %d" % rho.n_qubits)
     root = sqrt_psd(rho.matrix)
-    flip = np.kron(SIGMA2, SIGMA2)
-    lam = np.linalg.svd(root @ flip @ root.conj(), compute_uv=False)
+    lam = np.linalg.svd(root @ _FLIP2 @ root.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

@@ -16,10 +16,20 @@ from .qstate import SIGMA, DensityMatrix, as_density, kron_all
 _FWD = SIGMA.transpose(0, 2, 1).reshape(4, 4)
 # _BWD[2a+b, i] = sigma_i[a, b] / 2  realizing rho = (1/2) sum_i S_i sigma_i
 _BWD = SIGMA.reshape(4, 4).T / 2.0
-# The same maps on a two-qubit block: kron(_FWD, _FWD) and kron(_BWD, _BWD)
-# with the block's (r1 c1 r2 c2) entries reordered to (r1 r2 c1 c2).
-_FWD2 = np.einsum("iac,jbd->ijcdab", SIGMA, SIGMA).reshape(16, 16)
-_BWD2 = np.einsum("iac,jbd->abcdij", SIGMA, SIGMA).reshape(16, 16) / 4.0
+
+
+def _pair_map(m: np.ndarray) -> np.ndarray:
+    """kron(m, m) for a leg map whose columns index a qubit's (r c) entries,
+    with the two-qubit block's columns reordered from (r1 c1 r2 c2) to
+    (r1 r2 c1 c2)."""
+    k = m.shape[0] ** 2
+    return np.kron(m, m).reshape(k, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(k, 16)
+
+
+# The same maps on a two-qubit block; _BWD2's rows are the block's entries,
+# copied C-ordered: a transposed view changes density_from_stokes's bits at n = 2.
+_FWD2 = _pair_map(_FWD)
+_BWD2 = np.ascontiguousarray(_pair_map(_BWD.T).T)
 
 
 @dataclass(eq=False)

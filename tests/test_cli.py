@@ -224,18 +224,30 @@ class TestMalformedInput:
         assert code == 2
         assert json.loads(err)["code"] == 2
 
+    def test_state_document_without_a_state(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 1}))
+        code, out, err = run(capsys, "invariant", "--state", str(path))
+        assert code == 2 and out == ""
+        err = json.loads(err)
+        assert err["error"] == "ParseError" and "'amplitudes' or 'matrix'" in err["message"]
+
     @pytest.mark.parametrize(
         "ops, code",
         [
             ("boost:1:a2=nan", 2),
             ("boost:1:a2=inf", 2),
             ("boost:1:a2=1e-300", 3),
+            ("boost:1:b2=2", 2),
+            ("boost:x:a2=1", 2),
+            ("boost:3:a2=1", 2),
         ],
     )
     def test_bad_filter(self, capsys, ops, code):
         got, out, err = run(capsys, "filter", "--state", "bell:phi+", "--ops", ops)
         assert got == code and out == ""
         assert json.loads(err)["code"] == code
+        assert json.loads(err)["error"] == {2: "ParseError", 3: "OutOfRange"}[code]
 
     @pytest.mark.parametrize(
         "doc, code, error",
@@ -248,10 +260,11 @@ class TestMalformedInput:
             ([1, 2], 2, "ParseError"),
             ({"ops": [[[_ONE, _ZERO, _ZERO], [_ZERO, _ONE, _ZERO], [_ZERO, _ZERO, _ONE]], _EYE]},
              3, "DimensionMismatch"),
+            ({"ops": [_EYE]}, 2, "ParseError"),
         ],
         ids=[
             "ragged-row", "three-entry-row", "huge-integer", "object-entry", "ops-not-a-list",
-            "not-an-object", "three-by-three",
+            "not-an-object", "three-by-three", "one-op-for-two-qubits",
         ],
     )
     def test_bad_ops_document(self, capsys, tmp_path, doc, code, error):
@@ -273,6 +286,12 @@ class TestMalformedInput:
 
     def test_repeated_pair(self, capsys):
         code, out, err = run(capsys, "invariant", "--state", "bell:phi+", "--pair", "1,1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("pair", ["1,2,3", "a,b"])
+    def test_malformed_pair(self, capsys, pair):
+        code, out, err = run(capsys, "invariant", "--state", "ghz:3", "--pair", pair)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ParseError"
 
@@ -316,8 +335,10 @@ class TestMalformedInput:
         [
             {"n": 1, "matrix": [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]},
             {"n": 1, "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]},
+            # each entry below the entry bound, their sum the trace above it
+            {"n": 1, "matrix": [[[9e153, 0], [0, 0]], [[0, 0], [9e153, 0]]]},
         ],
-        ids=["off-diagonal", "trace"],
+        ids=["off-diagonal", "trace", "trace-sum"],
     )
     def test_overflowing_entry(self, capsys, tmp_path, command, doc):
         path = tmp_path / "huge.json"
@@ -375,6 +396,14 @@ class TestMalformedInput:
         assert code == 3 and out == ""
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "EnsembleAnnihilated"
+
+    def test_file_prefix_is_not_a_state_spec(self, capsys, tmp_path):
+        path = tmp_path / "w3.json"
+        path.write_text(json.dumps(cli.state_to_json(qstate.w_state(3))))
+        code, out, err = run(capsys, "invariant", "--state", "file:" + str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"] == "unrecognized state spec %r" % ("file:" + str(path))
+        assert run(capsys, "invariant", "--state", str(path))[0] == 0
 
     def test_pair_of_eleven_qubits(self, capsys):
         code, out, _ = run(capsys, "invariant", "--state", "ghz:11", "--pair", "1,2")

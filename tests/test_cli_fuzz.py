@@ -1,10 +1,12 @@
 """Fuzz test of the command line: argv drawn from a grammar over the seven
 commands, run in process through `cli.main`. Every run must exit 0, 2, 3 or
 4; a nonzero exit must write exactly one JSON line to stderr, and a zero exit
-nothing. Named states that parse have n <= 5; larger qubit counts are drawn
-only huge, so the size guards refuse them. The derandomized profile comes
-from conftest.py."""
+nothing. Each option is drawn well formed about 9 times in 10 and malformed
+otherwise, so most runs reach a command's work. Named states that parse have
+n <= 5; larger qubit counts are drawn only huge, so the size guards refuse
+them. The derandomized profile comes from conftest.py."""
 
+import collections
 import contextlib
 import io
 import json
@@ -16,6 +18,12 @@ st = hypothesis.strategies
 
 from stokesinv import cli, qstate  # noqa: E402
 
+
+def mostly(valid, malformed):
+    """`valid` about 9 draws in 10, `malformed` the rest."""
+    return st.integers(0, 9).flatmap(lambda k: valid if k else malformed)
+
+
 # Huge, negative, NaN, infinite, non-integer and zero values, and small ones
 # that parse.
 NUMBERS = st.one_of(
@@ -25,26 +33,43 @@ NUMBERS = st.one_of(
         "100000000000", "10000000000000000000", "1" + "0" * 40,
     ]),
 )
-# Input paths, resolved in `files`.
+# Input paths, resolved in `files`: two state documents and a filter
+# document that parse, and the rest that do not.
 PATHS = st.sampled_from([
     "@dir", "@missing", "@binary", "@pure", "@density", "@indefinite", "@object_entry", "@ops", "@ragged_ops",
 ])
 
-STATES = st.one_of(
-    st.sampled_from(["bell:phi+", "bell:phi-", "bell:psi+", "bell:psi-", "bell:xy", "ghz", "x:1"]),
-    NUMBERS.map("ghz:{}".format),
-    NUMBERS.map("w:{}".format),
-    NUMBERS.map("mixed:max:{}".format),
-    NUMBERS.map("schmidt:{}".format),
-    st.text(alphabet="012", max_size=5).map("basis:{}".format),
-    PATHS,
+STATES = mostly(
+    st.one_of(
+        st.sampled_from(["bell:phi+", "bell:phi-", "bell:psi+", "bell:psi-", "@pure", "@density"]),
+        st.integers(2, 5).map("ghz:{}".format),
+        st.integers(2, 5).map("w:{}".format),
+        st.integers(1, 5).map("mixed:max:{}".format),
+        st.sampled_from(["0", "0.1", "0.9", "1"]).map("schmidt:{}".format),
+        st.text(alphabet="01", min_size=1, max_size=5).map("basis:{}".format),
+    ),
+    st.one_of(
+        st.sampled_from(["bell:xy", "ghz", "x:1"]),
+        NUMBERS.map("ghz:{}".format),
+        NUMBERS.map("w:{}".format),
+        NUMBERS.map("mixed:max:{}".format),
+        NUMBERS.map("schmidt:{}".format),
+        st.text(alphabet="012", max_size=5).map("basis:{}".format),
+        PATHS,
+    ),
 )
-OPS = st.one_of(
-    st.builds("boost:{}:a2={}".format, NUMBERS, NUMBERS),
-    st.sampled_from(["boost:1", "boost:1:b2=2", "boost"]),
-    PATHS,
+OPS = mostly(
+    st.one_of(st.sampled_from(["0.5", "2", "3"]).map("boost:1:a2={}".format), st.just("@ops")),
+    st.one_of(
+        st.builds("boost:{}:a2={}".format, NUMBERS, NUMBERS),
+        st.sampled_from(["boost:1", "boost:1:b2=2", "boost"]),
+        PATHS,
+    ),
 )
-PAIRS = st.one_of(st.builds("{},{}".format, NUMBERS, NUMBERS), st.sampled_from(["1", "1,2,3", "a,b"]))
+PAIRS = mostly(
+    st.sampled_from(["1,2", "2,1"]),
+    st.one_of(st.builds("{},{}".format, NUMBERS, NUMBERS), st.sampled_from(["1", "1,2,3", "a,b"])),
+)
 
 
 @st.composite
@@ -54,18 +79,18 @@ def argvs(draw):
     if draw(st.integers(0, 9)):  # --state is required; leave it out sometimes
         argv += ["--state", draw(STATES)]
     options = {
-        "--seed": NUMBERS,
-        "--format": st.sampled_from(["json", "csv", "xml"]),
-        "--out": st.sampled_from(["@out", "@dir", "@unwritable"]),
+        "--seed": mostly(st.integers(0, 2**31).map(str), NUMBERS),
+        "--format": mostly(st.sampled_from(["json", "csv"]), st.just("xml")),
+        "--out": mostly(st.just("@out"), st.sampled_from(["@dir", "@unwritable"])),
     }
     if command == "invariant":
         options["--pair"] = PAIRS
     if command == "filter" and draw(st.integers(0, 9)):  # --ops is required
         argv += ["--ops", draw(OPS)]
     if command == "swapnet":
-        options["--state-b"] = st.one_of(st.just("flip"), STATES)
+        options["--state-b"] = mostly(st.just("flip"), STATES)
     if command in ("swapnet", "tomo"):
-        options["--shots"] = NUMBERS
+        options["--shots"] = mostly(st.integers(1, 2000).map(str), NUMBERS)
     for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
         argv += [name, draw(options[name])]
     if command == "state" and draw(st.booleans()):
@@ -137,3 +162,24 @@ def test_valid_documents_are_accepted(files, capsys):
         assert cli.main(["invariant", "--state", files[key]]) == 0
     assert cli.main(["filter", "--state", "bell:phi+", "--ops", files["@ops"]]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_most_draws_reach_the_commands_work(files, monkeypatch):
+    # the same derandomized draws as test_every_exit_is_clean, counted: a
+    # grammar that mostly draws refusals would leave the commands' work unfuzzed
+    codes, ops = [], []
+    main, parse_ops = cli.main, cli.parse_ops
+
+    def counted_main(argv):
+        codes.append(main(argv))
+        return codes[-1]
+
+    def counted_parse_ops(spec, n_qubits):
+        ops.append(spec)
+        return parse_ops(spec, n_qubits)
+
+    monkeypatch.setattr(cli, "main", counted_main)
+    monkeypatch.setattr(cli, "parse_ops", counted_parse_ops)
+    test_every_exit_is_clean(files)
+    assert codes.count(0) >= len(codes) / 2, collections.Counter(codes)
+    assert len(ops) >= 15, len(ops)

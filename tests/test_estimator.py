@@ -97,6 +97,7 @@ class TestTomography:
             block = 8 * r1 + 4 * r2 + 2 * c1 + c2
             probs2[6 * i + j, block] = probs[i, 2 * r1 + c1] * probs[j, 2 * r2 + c2]
         assert np.array_equal(estimator._PROBS2, probs2)
+        assert estimator._PROBS2.flags.c_contiguous
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_bruteforce(self, n):
@@ -209,3 +210,7 @@ class TestEstimatorCompare:
         out = estimator.estimator_compare(qstate.maximally_mixed(2), 9 * 10**4, 1)
         assert abs(out["direct"].estimate - 0.25) < 0.02
         assert abs(out["tomo"].invariant_hat - 0.25) < 0.02
+
+    def test_zero_shots_rejected(self):
+        with pytest.raises(ZeroShots):
+            estimator.estimator_compare(bell(), 0, 0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stokesinv import measures, qstate, slocc, stokes
-from stokesinv.errors import OutOfRange, WrongQubitCount
+from stokesinv.errors import BadSubsystem, OutOfRange, WrongQubitCount
 
 from oracles import concurrence_bruteforce
 
@@ -245,6 +245,14 @@ class TestSharedIntermediates:
         assert len(calls) == 1
         assert rep.tangle == want == rep.concurrence**2
 
+    @pytest.mark.parametrize(
+        "make", [qstate.ghz_state, qstate.w_state, lambda n: qstate.random_pure(n, 1800)],
+        ids=["ghz", "w", "random"],
+    )
+    def test_pure_three_qubit_report_takes_the_three_tangle(self, make):
+        psi = make(3)
+        assert measures.measure_report(psi).three_tangle == measures.three_tangle(psi)
+
     def test_ckw_tangle_matches_three_tangle(self):
         for psi in [qstate.ghz_state(3), qstate.w_state(3)] + [
             qstate.random_pure(3, 1600 + seed) for seed in range(10)
@@ -297,3 +305,32 @@ class TestLocalUnitaryInvariance:
             assert abs(
                 measures.concurrence(pair) - measures.concurrence(pair_rot)
             ) < 1e-8
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "measure, state",
+        [
+            (measures.tangle_pure2, qstate.ghz_state(3)),
+            (lambda psi: measures.bipartite_tangle(psi, 1), qstate.bell_state("phi+")),
+            (measures.three_tangle, qstate.ghz_state(4)),
+            (measures.purity_decomposition, qstate.maximally_mixed(3)),
+            (measures.ckw_report, qstate.bell_state("phi+")),
+        ],
+        ids=["tangle_pure2", "bipartite_tangle", "three_tangle", "purity_decomposition", "ckw_report"],
+    )
+    def test_wrong_qubit_count(self, measure, state):
+        with pytest.raises(WrongQubitCount):
+            measure(state)
+
+    @pytest.mark.parametrize(
+        "measure, state",
+        [
+            (lambda rho: measures.polarization_sq(rho, 3), qstate.bell_state("phi+")),
+            (lambda psi: measures.bipartite_tangle(psi, 4), qstate.ghz_state(3)),
+        ],
+        ids=["polarization_sq", "bipartite_tangle"],
+    )
+    def test_qubit_out_of_range(self, measure, state):
+        with pytest.raises(BadSubsystem):
+            measure(state)

@@ -1,0 +1,61 @@
+"""The package root binds its five modules and `__version__`, nothing else:
+every function is reached through the one module that defines it."""
+
+import ast
+import pathlib
+
+from stokesinv import cli
+
+INIT = pathlib.Path(cli.__file__).with_name("__init__.py")
+MODULES = {"estimator", "measures", "qstate", "slocc", "stokes"}
+
+
+def _extra_bindings(source: str) -> list:
+    """(line, name) of every top-level binding other than `from . import` of
+    a package module under its own name and the `__version__` assignment."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            found += [(node.lineno, a.asname or a.name) for a in node.names if a.asname or a.name not in MODULES]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, a.asname or a.name) for a in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        else:
+            stores = [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            found += [(node.lineno, name) for name in stores if name != "__version__"]
+    return found
+
+
+def _imported_modules(source: str) -> set:
+    return {
+        a.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for a in node.names
+    }
+
+
+def test_lint_flags_a_re_export_put_back():
+    source = (
+        '"""Package docstring."""\n'
+        "from . import estimator, measures, qstate, slocc, stokes\n"
+        "from . import cli, stokes as st\n"
+        "from .stokes import stokes_tensor\n"
+        "from .qstate import SIGMA as PAULI\n"
+        "import numpy\n"
+        '__version__ = "0.1.0"\n'
+        "minkowski_invariant = stokes.minkowski_invariant\n"
+        "def spin_flip(rho):\n"
+        "    return stokes.spin_flip(rho)\n"
+    )
+    assert _extra_bindings(source) == [
+        (3, "cli"), (3, "st"), (4, "stokes_tensor"), (5, "PAULI"), (6, "numpy"),
+        (8, "minkowski_invariant"), (9, "spin_flip"),
+    ]
+
+
+def test_init_binds_only_the_modules_and_version():
+    source = INIT.read_text()
+    assert _extra_bindings(source) == []
+    assert _imported_modules(source) == MODULES

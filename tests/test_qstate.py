@@ -175,6 +175,8 @@ class TestNamedStates:
             qstate.bell_state("nope")
         with pytest.raises(BadStateName):
             qstate.ghz_state(1)
+        with pytest.raises(BadStateName):
+            qstate.schmidt_pair(2.0)
 
 
 class TestDensityMatrix:

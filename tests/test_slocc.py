@@ -133,6 +133,11 @@ class TestApplyLorentzToStokes:
         out = slocc.apply_lorentz_to_stokes(s, [np.eye(4)] * 2)
         assert np.max(np.abs(out.values - s.values)) < 1e-15
 
+    def test_dim_mismatch(self):
+        s = stokes.stokes_tensor(qstate.random_mixed(2, 2, 3))
+        with pytest.raises(DimensionMismatch):
+            slocc.apply_lorentz_to_stokes(s, [np.eye(4)])
+
     def test_cross_picture_bell_boost(self):
         rho = qstate.bell_state("phi+").to_density()
         a = np.diag([1.4, 1 / 1.4]).astype(complex)

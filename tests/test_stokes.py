@@ -59,6 +59,7 @@ class TestTwoQubitLegs:
             bwd2[block, i] = stokes._BWD[2 * r1 + c1, i1] * stokes._BWD[2 * r2 + c2, i2]
         assert np.array_equal(stokes._FWD2, fwd2)
         assert np.array_equal(stokes._BWD2, bwd2)
+        assert stokes._FWD2.flags.c_contiguous and stokes._BWD2.flags.c_contiguous
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pair_layout_round_trip_bit_exact(self, n):
