@@ -113,10 +113,11 @@ def state_to_json(state) -> dict:
     """The document of a pure state (its amplitudes) or a density matrix (its
     matrix), each entry an [re, im] pair."""
     if isinstance(state, PureState):
-        amps = state.amplitudes.tolist()
-        return {"n": state.n_qubits, "amplitudes": [[z.real, z.imag] for z in amps]}
-    rows = state.matrix.tolist()
-    return {"n": state.n_qubits, "matrix": [[[z.real, z.imag] for z in row] for row in rows]}
+        key, z = "amplitudes", state.amplitudes
+    else:
+        key, z = "matrix", state.matrix
+    pairs = np.ascontiguousarray(z).view(float).reshape(z.shape + (2,))
+    return {"n": state.n_qubits, key: pairs.tolist()}
 
 
 def parse_ops(spec: str, n_qubits: int) -> slocc.LocalOperation:
@@ -213,9 +214,8 @@ def cmd_measures(args):
 
 def cmd_filter(args):
     state = parse_state(args.state)
-    rho = qstate.as_density(state)
-    op = parse_ops(args.ops, rho.n_qubits)
-    doc = dataclasses.asdict(slocc.filter_state(rho, op))
+    op = parse_ops(args.ops, state.n_qubits)
+    doc = dataclasses.asdict(slocc.filter_state(state, op))
     _emit(doc, args, csv_rows=sorted(doc.items()))
 
 
@@ -224,7 +224,7 @@ def cmd_swapnet(args):
     if args.state_b == "flip":
         b = stokes.spin_flip(a)
     else:
-        b = qstate.as_density(parse_state(args.state_b))
+        b = parse_state(args.state_b)
     doc = dataclasses.asdict(estimator.swap_network_estimate(a, b, args.shots, args.seed))
     _emit(doc, args, csv_rows=sorted(doc.items()))
 
@@ -234,20 +234,14 @@ def cmd_tomo(args):
     infinite = args.shots == 0
     res = estimator.tomography_simulate(state, args.shots, args.seed, infinite=infinite)
     n, values = res.stokes_hat.n_qubits, res.stokes_hat.values.tolist()
-    doc = {
-        "stokes_hat": {"n": n, "values": values},
-        "shots_per_setting": res.shots_per_setting,
+    head = {
         "invariant_hat": res.invariant_hat,
         "psd_ok": res.psd_ok,
+        "shots_per_setting": res.shots_per_setting,
         "seed": res.seed,
     }
-    rows = [
-        ("invariant_hat", res.invariant_hat),
-        ("psd_ok", res.psd_ok),
-        ("shots_per_setting", res.shots_per_setting),
-        ("seed", res.seed),
-    ] + list(zip(_labels(n), values))
-    _emit(doc, args, csv_rows=rows)
+    doc = dict(head, stokes_hat={"n": n, "values": values})
+    _emit(doc, args, csv_rows=list(head.items()) + list(zip(_labels(n), values)))
 
 
 def cmd_state(args):
@@ -273,50 +267,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, shots_default=None):
+    def command(name, func, help, shots_default=None):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--state", required=True, help="named state or JSON file")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         if shots_default is not None:
             sp.add_argument("--shots", type=int, default=shots_default)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("stokes", help="print the full Stokes tensor")
-    common(sp)
-    sp.set_defaults(func=cmd_stokes)
-
-    sp = sub.add_parser("invariant", help="Minkowskian invariant and purity")
-    common(sp)
+    command("stokes", cmd_stokes, "print the full Stokes tensor")
+    sp = command("invariant", cmd_invariant, "Minkowskian invariant and purity")
     sp.add_argument("--pair", default=None, help="reduce to qubits i,j first")
-    sp.set_defaults(func=cmd_invariant)
-
-    sp = sub.add_parser("measures", help="entanglement and purity measures")
-    common(sp)
-    sp.set_defaults(func=cmd_measures)
-
-    sp = sub.add_parser("filter", help="apply a det-1 local filter")
-    common(sp)
+    command("measures", cmd_measures, "entanglement and purity measures")
+    sp = command("filter", cmd_filter, "apply a det-1 local filter")
     sp.add_argument("--ops", required=True, help="boost:K:a2=V or ops JSON file")
-    sp.set_defaults(func=cmd_filter)
-
-    sp = sub.add_parser("swapnet", help="swap-network overlap estimation")
-    common(sp, shots_default=10000)
+    sp = command("swapnet", cmd_swapnet, "swap-network overlap estimation", 10000)
     sp.add_argument(
-        "--state-b",
-        default="flip",
-        help="second state, or 'flip' for the spin-flip of --state",
+        "--state-b", default="flip", help="second state, or 'flip' for the spin-flip of --state"
     )
-    sp.set_defaults(func=cmd_swapnet)
-
-    sp = sub.add_parser("tomo", help="finite-shot Pauli tomography")
-    common(sp, shots_default=1000)
-    sp.set_defaults(func=cmd_tomo)
-
-    sp = sub.add_parser("state", help="generate or convert a state document")
-    common(sp)
+    command("tomo", cmd_tomo, "finite-shot Pauli tomography", 1000)
+    sp = command("state", cmd_state, "generate or convert a state document")
     sp.add_argument("--as-density", action="store_true")
-    sp.set_defaults(func=cmd_state)
-
     return p
 
 

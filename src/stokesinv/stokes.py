@@ -60,7 +60,7 @@ class StokesTensor:
         return float(self.values[m])
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4)  # 4^n floats each: keep the last few n only
 def _sign_vector(n: int) -> np.ndarray:
     """(-1)^weight over the flattened multi-index, as a tensor-power of
     (1, -1, -1, -1)."""

@@ -141,6 +141,29 @@ class TestEstimatorCommands:
         assert doc["invariant_hat"] == 0.0007828395061728888
         assert doc["psd_ok"] is False
 
+    @pytest.mark.parametrize(
+        "state_b, estimate, exact, std_error",
+        [
+            ("bell:phi+", 1.0, 0.9999999999999996, 0.0),
+            ("bell:phi-", 0.04200000000000004, 0.0, 0.03159487300180205),
+        ],
+    )
+    def test_swapnet_second_state(self, capsys, state_b, estimate, exact, std_error):
+        argv = ["swapnet", "--state", "bell:phi+", "--state-b", state_b, "--shots", "1000"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["estimate"], doc["exact"], doc["std_error"]) == (estimate, exact, std_error)
+        assert (doc["shots"], doc["seed"]) == (1000, 0)
+
+    @pytest.mark.parametrize(
+        "state_b, code, error", [("ghz:3", 3, "DimensionMismatch"), ("nope", 2, "ParseError")]
+    )
+    def test_swapnet_bad_second_state(self, capsys, state_b, code, error):
+        got, out, err = run(capsys, "swapnet", "--state", "bell:phi+", "--state-b", state_b)
+        assert got == code and out == ""
+        assert json.loads(err)["error"] == error
+
     def test_determinism(self, capsys):
         argv = ["tomo", "--state", "ghz:3", "--shots", "200", "--seed", "5"]
         _, out1, _ = run(capsys, *argv)
@@ -161,6 +184,65 @@ class TestStateRoundTrip:
         run(capsys, "state", "--state", "bell:phi+", "--as-density", "--out", str(path))
         _, out, _ = run(capsys, "invariant", "--state", str(path))
         assert json.loads(out)["invariant"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pure_document_is_bit_exact(self, n):
+        psi = qstate.random_pure(n, 40 + n)
+        text = json.dumps(cli.state_to_json(psi))
+        back = cli.state_from_json(json.loads(text))
+        assert back.amplitudes.tobytes() == psi.amplitudes.tobytes()
+
+
+def _pairs_by_comprehension(state):
+    """The [re, im] document as per-entry Python complex numbers give it."""
+    if isinstance(state, qstate.PureState):
+        amps = state.amplitudes.tolist()
+        return {"n": state.n_qubits, "amplitudes": [[z.real, z.imag] for z in amps]}
+    rows = state.matrix.tolist()
+    return {"n": state.n_qubits, "matrix": [[[z.real, z.imag] for z in row] for row in rows]}
+
+
+def _encoder_cases():
+    rng = np.random.default_rng(14)
+    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    odd = m.copy()
+    odd[0, :3] = [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0)]
+    odd[1, :3] = [complex(np.nan, 2.0), complex(3.0, np.inf), complex(-np.inf, np.nan)]
+    amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    pure = qstate.PureState(3, amps[::-2])  # keeps the negative-stride view
+    assert pure.amplitudes.strides[0] < 0
+    cases = [qstate.DensityMatrix(3, x) for x in (m, np.asfortranarray(m), m.T, odd, odd.T)]
+    return cases + [pure, qstate.PureState(1, [complex(-0.0, -0.0), complex(np.nan, -np.inf)])]
+
+
+@pytest.mark.parametrize("state", _encoder_cases())
+def test_state_document_matches_the_comprehension(state):
+    assert json.dumps(cli.state_to_json(state)) == json.dumps(_pairs_by_comprehension(state))
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "command, func, extra",
+        [
+            ("stokes", cli.cmd_stokes, {}),
+            ("invariant", cli.cmd_invariant, {"pair": None}),
+            ("measures", cli.cmd_measures, {}),
+            ("filter", cli.cmd_filter, {"ops": "boost:1:a2=2"}),
+            ("swapnet", cli.cmd_swapnet, {"shots": 10000, "state_b": "flip"}),
+            ("tomo", cli.cmd_tomo, {"shots": 1000}),
+            ("state", cli.cmd_state, {"as_density": False}),
+        ],
+    )
+    def test_keys_and_defaults(self, command, func, extra):
+        argv = [command, "--state", "w:3"] + (["--ops", extra["ops"]] if "ops" in extra else [])
+        args = vars(cli.build_parser().parse_args(argv))
+        common = {"command": command, "state": "w:3", "seed": 0, "format": "json", "out": None}
+        assert args == dict(common, func=func, **extra)
+
+    def test_option_of_another_command(self, capsys):
+        code, out, err = run(capsys, "stokes", "--state", "w:3", "--shots", "5")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
 
 
 class TestErrors:
@@ -295,7 +377,7 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ParseError"
 
-    @pytest.mark.parametrize("spec", ["mixed:max:0", "mixed:max:-1"])
+    @pytest.mark.parametrize("spec", ["mixed:max:0", "mixed:max:-1", "w:1", "basis:", "basis:012"])
     def test_empty_mixed_state(self, capsys, spec):
         code, _, err = run(capsys, "invariant", "--state", spec)
         assert code == 2

@@ -244,6 +244,11 @@ class TestMinkowskiInvariant:
             minkowski_bruteforce(s.values, n), abs=1e-12
         )
 
+    def test_sign_vector_cache_is_bounded(self):
+        for n in range(1, 9):
+            stokes.minkowski_invariant(stokes.stokes_tensor(qstate.maximally_mixed(n)))
+        assert stokes._sign_vector.cache_info().currsize <= 4
+
 
 class TestEuclideanPurity:
     def test_maximally_mixed(self):
