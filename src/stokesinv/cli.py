@@ -13,31 +13,30 @@ import sys
 import numpy as np
 
 from . import estimator, measures, qstate, slocc, stokes
-from .errors import OutOfRange, ParseError, StokesInvError, WrongQubitCount, check
+from .errors import TOLERANCES, OutOfRange, ParseError, StokesInvError, WrongQubitCount, check
 from .qstate import DensityMatrix, PureState, _check_psd, _hermitian_part
 
 
 def parse_state(spec: str):
     """Parse a state spec: a named-state string (bell:phi+, ghz:3, w:3,
     schmidt:0.9, mixed:max:2, basis:010) or a path to a state JSON file."""
-    parts = spec.split(":")
-    head = parts[0]
+    head, _, arg = spec.rpartition(":")
     try:
-        if head == "bell" and len(parts) == 2:
-            return qstate.bell_state(parts[1])
-        if head == "ghz" and len(parts) == 2:
-            return qstate.ghz_state(int(parts[1]))
-        if head == "w" and len(parts) == 2:
-            return qstate.w_state(int(parts[1]))
-        if head == "basis" and len(parts) == 2:
-            return qstate.basis_state(parts[1])
-        if head == "schmidt" and len(parts) == 2:
-            cos2 = float(parts[1])
+        if head == "bell":
+            return qstate.bell_state(arg)
+        if head == "ghz":
+            return qstate.ghz_state(int(arg))
+        if head == "w":
+            return qstate.w_state(int(arg))
+        if head == "basis":
+            return qstate.basis_state(arg)
+        if head == "schmidt":
+            cos2 = float(arg)
             if not 0.0 <= cos2 <= 1.0:
-                raise ParseError("schmidt:%s needs cos^2(theta) in [0,1]" % parts[1])
+                raise ParseError("schmidt:%s needs cos^2(theta) in [0,1]" % arg)
             return qstate.schmidt_pair(float(np.arccos(np.sqrt(cos2))))
-        if head == "mixed" and len(parts) == 3 and parts[1] == "max":
-            return qstate.maximally_mixed(int(parts[2]))
+        if head == "mixed:max":
+            return qstate.maximally_mixed(int(arg))
     except ValueError as exc:
         raise ParseError("bad state spec %r: %s" % (spec, exc)) from exc
     if os.path.exists(spec):
@@ -63,35 +62,36 @@ def _complex_entries(value, depth: int, what: str) -> np.ndarray:
     not fit a float, or the lists are ragged."""
 
     def decode(x, d):
-        return complex(x[0], x[1]) if d == 0 else [decode(y, d - 1) for y in x]
+        if d:
+            return [decode(y, d - 1) for y in x]
+        re, im = x
+        return complex(re, im)
 
     try:
         return np.array(decode(value, depth))
-    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ParseError("bad %s document: %s" % (what, exc)) from exc
 
 
 def state_from_json(doc: dict):
     """The state of a document `state_to_json` writes: a pure state whose
     squared norm is 1, or a Hermitian PSD density matrix (within tolerance
-    "document"), kept as the Hermitian part its checks passed."""
+    "document"), kept as the Hermitian part its checks passed, or as that
+    part's PSD part (eigenvalues clipped at 0) when it fails tolerance "psd"."""
     if not isinstance(doc, dict) or "n" not in doc:
         raise ParseError("state document must be an object with an 'n' field")
-    if "amplitudes" not in doc and "matrix" not in doc:
-        raise ParseError("state document needs 'amplitudes' or 'matrix'")
+    if ("amplitudes" in doc) == ("matrix" in doc):
+        raise ParseError("state document needs exactly one of 'amplitudes' or 'matrix'")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool):  # no 2.9 -> 2, true -> 1
         raise ParseError("state document's 'n' must be an integer, got %r" % (n,))
-    if "amplitudes" in doc:
-        amps = _complex_entries(doc["amplitudes"], 1, "state")
-    else:
-        m = _complex_entries(doc["matrix"], 2, "state")
     if n < 1:
         raise ParseError("state document needs n >= 1")
     if "amplitudes" in doc:
-        psi = PureState(n, amps)
+        psi = PureState(n, _complex_entries(doc["amplitudes"], 1, "state"))
         check("amplitude_norm", abs(psi.norm_sq - 1.0), ParseError, "| |psi|^2 - 1 |")
         return psi
+    m = _complex_entries(doc["matrix"], 2, "state")
     if not np.all(np.isfinite(m)):
         raise ParseError("state document has a non-finite matrix entry")
     rho = DensityMatrix(n, m)
@@ -105,7 +105,11 @@ def state_from_json(doc: dict):
     if rho.trace >= bound:
         raise OutOfRange("density matrix trace %g overflows its Stokes norms" % rho.trace)
     rho.matrix = _hermitian_part(rho.matrix, "document")
-    _check_psd(np.linalg.eigvalsh(rho.matrix)[0], "document")
+    least = np.linalg.eigvalsh(rho.matrix)[0]
+    _check_psd(least, "document")
+    if -least > TOLERANCES["psd"]:  # keep the PSD part, which every later PSD check passes
+        vals, vecs = np.linalg.eigh(rho.matrix)
+        rho.matrix = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
     return rho
 
 
@@ -125,14 +129,13 @@ def parse_ops(spec: str, n_qubits: int) -> slocc.LocalOperation:
     qubit K, identity elsewhere) or a path to an ops JSON file, an object
     whose 'ops' list holds one 2x2 matrix of [re, im] pairs per qubit."""
     if spec.startswith("boost:"):
-        parts = spec.split(":")
         try:
-            k = int(parts[1])
-            key, val = parts[2].split("=")
+            _, k, setting = spec.split(":")
+            key, val = setting.split("=")
             if key != "a2":
                 raise ValueError("expected a2=<value>")
-            a2 = float(val)
-        except (IndexError, ValueError) as exc:
+            k, a2 = int(k), float(val)
+        except ValueError as exc:
             raise ParseError("bad ops spec %r: %s" % (spec, exc)) from exc
         if not 0.0 < a2 < np.inf:
             raise ParseError("boost needs 0 < a2 < inf")

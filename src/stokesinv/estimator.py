@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import (
     TOLERANCES,
-    DimensionMismatch,
     EnsembleAnnihilated,
     OutOfRange,
     ZeroShots,
@@ -83,9 +82,6 @@ def swap_network_estimate(a, b, shots: int, seed: int) -> EstimateReport:
     """Estimate Tr(a b) from the interference statistics of the controlled-swap
     network, simulated at the probability level: the ancilla lands in its
     bright port with probability p0 = (1 + Tr(a b)) / 2."""
-    a, b = as_density(a), as_density(b)
-    if a.n_qubits != b.n_qubits:
-        raise DimensionMismatch("states of different size")
     if shots < 1:
         raise ZeroShots("swap network needs shots >= 1")
     _check_shot_range(shots)

@@ -59,18 +59,15 @@ def concurrence(rho) -> float:
     sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)), whose squares are the
     eigenvalues of the Hermitian product sqrt(rho) rho_tilde sqrt(rho);
     the SVD keeps full precision for the near-zero values."""
-    rho = as_density(rho)
     if rho.n_qubits != 2:
         raise WrongQubitCount("concurrence needs 2 qubits, got %d" % rho.n_qubits)
-    root = sqrt_psd(rho.matrix)
+    root = sqrt_psd(as_density(rho).matrix)
     lam = np.linalg.svd(root @ _FLIP2 @ root.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def tangle_pure2(psi: PureState) -> float:
     """Tangle of a pure two-qubit state (concurrence squared)."""
-    if psi.n_qubits != 2:
-        raise WrongQubitCount("tangle needs 2 qubits, got %d" % psi.n_qubits)
     return concurrence(psi) ** 2
 
 

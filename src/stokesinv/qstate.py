@@ -159,10 +159,12 @@ def _refuse_beyond_memory(nbytes: int, what: str) -> None:
 
 
 def _checked_dim(n: int) -> int:
-    """2^n, refused before any allocation when the 16*4^n-byte density
-    matrix of n qubits would exceed this machine's physical memory. The
-    exponent is capped at 64, whose 2^132 bytes no memory holds, so a huge n
-    is refused without forming 4^n."""
+    """2^n for n >= 1, refused before any allocation when the 16*4^n-byte
+    density matrix of n qubits would exceed this machine's physical memory.
+    The exponent is capped at 64, whose 2^132 bytes no memory holds, so a
+    huge n is refused without forming 4^n."""
+    if n < 1:
+        raise BadStateName("a state needs n >= 1 qubits, got %d" % n)
     nbytes = 16 * 4 ** min(n, 64)
     _refuse_beyond_memory(nbytes, "%d qubits: a 16*4^%d-byte density matrix" % (n, n))
     return 2**n
@@ -220,8 +222,6 @@ def schmidt_pair(theta: float) -> PureState:
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
-    if n < 1:
-        raise BadStateName("mixed needs n >= 1")
     d = _checked_dim(n)
     return DensityMatrix(n, np.eye(d, dtype=complex) / d)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadLength, DimensionMismatch, NonHermitianInput, OutOfRange, check
-from .qstate import SIGMA, DensityMatrix, as_density, kron_all
+from .qstate import SIGMA, DensityMatrix, _has_dim, as_density, kron_all
 
 # Single-qubit maps between a flattened 2x2 matrix and its 4 Stokes components.
 # _FWD[i, 2a+b] = sigma_i[b, a]  so that S_i = sum_ab rho[a,b] sigma_i[b,a]
@@ -42,10 +42,8 @@ class StokesTensor:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
-        if self.values.size != 4**self.n_qubits:
-            raise BadLength(
-                "expected %d values, got %d" % (4**self.n_qubits, self.values.size)
-            )
+        if not _has_dim(self.values.size, 2 * self.n_qubits):
+            raise BadLength("expected 4^%d values, got %d" % (self.n_qubits, self.values.size))
 
     def __getitem__(self, digits) -> float:
         """S[i1..in] for one digit 0..3 per qubit, qubit 1's first."""

@@ -297,6 +297,10 @@ class TestMalformedInput:
             # an object in place of an [re, im] pair
             {"n": 1, "amplitudes": [{"re": 1.0}, [0.0, 0.0]]},
             {"n": 1, "matrix": [[{"re": 1.0}, [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+            # an entry of three numbers, and a document with both bodies
+            {"n": 1, "amplitudes": [[1.0, 0.0, 5.0], [0.0, 0.0]]},
+            {"n": 1, "matrix": [[[1.0, 0.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+            {"n": 1, "amplitudes": [_ONE, _ZERO], "matrix": [[_ONE, _ZERO], [_ZERO, _ZERO]]},
         ],
     )
     def test_bad_state_document(self, capsys, tmp_path, doc):
@@ -305,6 +309,7 @@ class TestMalformedInput:
         code, _, err = run(capsys, "invariant", "--state", str(path))
         assert code == 2
         assert json.loads(err)["code"] == 2
+        assert json.loads(err)["error"] in ("ParseError", "BadStateName")
 
     def test_state_document_without_a_state(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -323,6 +328,8 @@ class TestMalformedInput:
             ("boost:1:b2=2", 2),
             ("boost:x:a2=1", 2),
             ("boost:3:a2=1", 2),
+            ("boost:1:a2=2:3", 2),
+            ("boost:1:a2=2:", 2),
         ],
     )
     def test_bad_filter(self, capsys, ops, code):
@@ -343,10 +350,11 @@ class TestMalformedInput:
             ({"ops": [[[_ONE, _ZERO, _ZERO], [_ZERO, _ONE, _ZERO], [_ZERO, _ZERO, _ONE]], _EYE]},
              3, "DimensionMismatch"),
             ({"ops": [_EYE]}, 2, "ParseError"),
+            ({"ops": [[[[1.0, 0.0, 5.0], _ZERO], [_ZERO, _ONE]], _EYE]}, 2, "ParseError"),
         ],
         ids=[
             "ragged-row", "three-entry-row", "huge-integer", "object-entry", "ops-not-a-list",
-            "not-an-object", "three-by-three", "one-op-for-two-qubits",
+            "not-an-object", "three-by-three", "one-op-for-two-qubits", "three-number-entry",
         ],
     )
     def test_bad_ops_document(self, capsys, tmp_path, doc, code, error):
@@ -551,6 +559,44 @@ class TestAntiHermitianResidueInsideTolerance:
             raw = _document_matrix(doc)
             hermitian = qstate.DensityMatrix(2, 0.5 * (raw + raw.conj().T))
             assert got["concurrence"] == pytest.approx(measures.concurrence(hermitian), abs=1e-14)
+
+
+def _bell_with_eigenvalue(x):
+    """The phi+ projector plus x |01><01|: a density document whose least
+    eigenvalue is x."""
+    return {
+        "n": 2,
+        "matrix": [
+            [[0.5, 0], [0, 0], [0, 0], [0.5, 0]],
+            [[0, 0], [x, 0], [0, 0], [0, 0]],
+            [[0, 0], [0, 0], [0, 0], [0, 0]],
+            [[0.5, 0], [0, 0], [0, 0], [0.5, 0]],
+        ],
+    }
+
+
+class TestNegativeEigenvalueInsideTolerance:
+    """Documents the "document" PSD tolerance accepts are refused by no later
+    PSD check: one whose least eigenvalue lies below -TOLERANCES["psd"] is
+    kept as its PSD part, one above it keeps its bits."""
+
+    def test_measures_accepted(self, capsys, tmp_path):
+        doc = _bell_with_eigenvalue(-5e-9)
+        raw = _document_matrix(doc)
+        least = np.linalg.eigvalsh(raw)[0]
+        assert TOLERANCES["psd"] < -least <= TOLERANCES["document"]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "measures", "--state", str(path))
+        assert code == 0 and err == ""
+        vals, vecs = np.linalg.eigh(raw)
+        clipped = qstate.DensityMatrix(2, (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
+        assert json.loads(out)["concurrence"] == pytest.approx(measures.concurrence(clipped), abs=1e-14)
+        assert np.linalg.eigvalsh(cli.state_from_json(doc).matrix)[0] >= -TOLERANCES["psd"]
+
+    def test_inside_the_psd_tolerance_keeps_its_bits(self):
+        doc = _bell_with_eigenvalue(-5e-11)
+        assert np.array_equal(cli.state_from_json(doc).matrix, _document_matrix(doc))
 
 
 _NAMED = [

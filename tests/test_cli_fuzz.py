@@ -37,6 +37,7 @@ NUMBERS = st.one_of(
 # document that parse, and the rest that do not.
 PATHS = st.sampled_from([
     "@dir", "@missing", "@binary", "@pure", "@density", "@indefinite", "@object_entry", "@ops", "@ragged_ops",
+    "@triple_entry", "@both_bodies", "@triple_ops",
 ])
 
 STATES = mostly(
@@ -62,7 +63,7 @@ OPS = mostly(
     st.one_of(st.sampled_from(["0.5", "2", "3"]).map("boost:1:a2={}".format), st.just("@ops")),
     st.one_of(
         st.builds("boost:{}:a2={}".format, NUMBERS, NUMBERS),
-        st.sampled_from(["boost:1", "boost:1:b2=2", "boost"]),
+        st.sampled_from(["boost:1", "boost:1:b2=2", "boost", "boost:1:a2=2:3"]),
         PATHS,
     ),
 )
@@ -102,8 +103,9 @@ def argvs(draw):
 def files(tmp_path_factory):
     """Path placeholders: a directory, a missing file, binary data, a pure
     and a density-matrix document, one that is not PSD, one with an object in
-    place of an [re, im] pair, a filter document, one with a ragged row, and
-    outputs."""
+    place of an [re, im] pair, one with an entry of three numbers, one with
+    both bodies; a filter document, one with a ragged row, one with an entry
+    of three numbers; and outputs."""
     d = tmp_path_factory.mktemp("fuzz")
     (d / "state.bin").write_bytes(bytes(range(256)))
     (d / "pure.json").write_text(json.dumps(cli.state_to_json(qstate.w_state(3))))
@@ -111,14 +113,19 @@ def files(tmp_path_factory):
     indefinite = [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
     (d / "indefinite.json").write_text(json.dumps({"n": 1, "matrix": indefinite}))
     (d / "object_entry.json").write_text(json.dumps({"n": 1, "amplitudes": [{"re": 1.0}, [0.0, 0.0]]}))
+    (d / "triple_entry.json").write_text(json.dumps({"n": 1, "amplitudes": [[1.0, 0.0, 5.0], [0.0, 0.0]]}))
+    both = {"n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]], "matrix": [[[1.0, 0.0], [0.0, 0.0]]] * 2}
+    (d / "both_bodies.json").write_text(json.dumps(both))
     eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     boost = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
     (d / "ops.json").write_text(json.dumps({"ops": [boost, eye]}))
     (d / "ragged_ops.json").write_text(json.dumps({"ops": [[boost[0], boost[1][:1]], eye]}))
+    (d / "triple_ops.json").write_text(json.dumps({"ops": [[[[2.0, 0.0, 1.0], [0.0, 0.0]], boost[1]], eye]}))
     names = {
         "@dir": "", "@missing": "missing.json", "@binary": "state.bin", "@pure": "pure.json",
         "@density": "density.json", "@indefinite": "indefinite.json", "@object_entry": "object_entry.json",
         "@ops": "ops.json", "@ragged_ops": "ragged_ops.json", "@out": "out.txt", "@unwritable": "missing/out.txt",
+        "@triple_entry": "triple_entry.json", "@both_bodies": "both_bodies.json", "@triple_ops": "triple_ops.json",
     }
     return {key: str(d / name) for key, name in names.items()}
 
@@ -128,6 +135,9 @@ def files(tmp_path_factory):
 # the malformed documents, which the drawn argv seldom reach with a state that parses
 @hypothesis.example(argv=["invariant", "--state", "@object_entry"])
 @hypothesis.example(argv=["filter", "--state", "bell:phi+", "--ops", "@ragged_ops"])
+@hypothesis.example(argv=["stokes", "--state", "@both_bodies"])
+@hypothesis.example(argv=["filter", "--state", "bell:phi+", "--ops", "@triple_ops"])
+@hypothesis.example(argv=["filter", "--state", "bell:phi+", "--ops", "boost:1:a2=2:3"])
 def test_every_exit_is_clean(files, argv):
     argv = [files.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()

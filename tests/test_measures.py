@@ -316,10 +316,18 @@ class TestRefusals:
             (measures.three_tangle, qstate.ghz_state(4)),
             (measures.purity_decomposition, qstate.maximally_mixed(3)),
             (measures.ckw_report, qstate.bell_state("phi+")),
+            (measures.concurrence, qstate.w_state(3)),
         ],
-        ids=["tangle_pure2", "bipartite_tangle", "three_tangle", "purity_decomposition", "ckw_report"],
+        ids=[
+            "tangle_pure2", "bipartite_tangle", "three_tangle", "purity_decomposition", "ckw_report",
+            "concurrence",
+        ],
     )
-    def test_wrong_qubit_count(self, measure, state):
+    def test_wrong_qubit_count(self, measure, state, monkeypatch):
+        def refuse(psi):
+            raise AssertionError("a density matrix built before the qubit count was checked")
+
+        monkeypatch.setattr(qstate.PureState, "to_density", refuse)
         with pytest.raises(WrongQubitCount):
             measure(state)
 

@@ -214,6 +214,15 @@ class TestRandom:
         with pytest.raises(OutOfRange):
             make(64)
 
+    @pytest.mark.parametrize("make", [
+        lambda: qstate.random_pure(-1, 0),
+        lambda: qstate.random_pure(0, 0),
+        lambda: qstate.random_mixed(0, 1, 0),
+    ], ids=["pure-negative", "pure-zero", "mixed-zero"])
+    def test_fewer_than_one_qubit_refused(self, make):
+        with pytest.raises(BadStateName):
+            make()
+
     def test_su2(self):
         for seed in range(10):
             u = qstate.random_su2(seed)

@@ -159,6 +159,11 @@ class TestDensityFromStokes:
         with pytest.raises(BadLength):
             stokes.StokesTensor(2, [1, 0, 0])
 
+    def test_bad_length_of_a_huge_qubit_count(self):
+        # refused without forming 4^7200, whose 4335 digits Python will not print
+        with pytest.raises(BadLength, match=r"expected 4\^7200 values, got 1"):
+            stokes.StokesTensor(7200, [1.0])
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("scale", [1.0, 1.5, 3.0])
     def test_psd_ok_matches_eager_reference(self, n, scale):
