@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from . import estimator, measures, qstate, slocc, stokes
-from .errors import TOLERANCES, OutOfRange, ParseError, StokesInvError, WrongQubitCount, check
-from .qstate import DensityMatrix, PureState, _check_psd, _hermitian_part
+from .errors import OutOfRange, ParseError, StokesInvError, WrongQubitCount, check
+from .qstate import DensityMatrix, PureState
 
 
 def parse_state(spec: str):
@@ -58,13 +58,16 @@ def _read_json(path: str, what: str):
 
 def _complex_entries(value, depth: int, what: str) -> np.ndarray:
     """The complex array of the [re, im] pairs nested `depth` lists deep in
-    the JSON `value`; ParseError when an entry is no such pair, a number does
-    not fit a float, or the lists are ragged."""
+    the JSON `value`; ParseError when an entry is no such pair of two JSON
+    numbers (an object's two keys or a boolean are not), a number does not
+    fit a float, or the lists are ragged."""
 
     def decode(x, d):
         if d:
             return [decode(y, d - 1) for y in x]
         re, im = x
+        if type(re) not in (int, float) or type(im) not in (int, float):  # bool is no number
+            raise TypeError("an entry is not an [re, im] pair of numbers")
         return complex(re, im)
 
     try:
@@ -104,12 +107,7 @@ def state_from_json(doc: dict):
     # keeps sum S^2 = 2^n Tr rho^2 <= 2^n (Tr rho)^2, Tr rho^2 and Tr rho rho~ finite
     if rho.trace >= bound:
         raise OutOfRange("density matrix trace %g overflows its Stokes norms" % rho.trace)
-    rho.matrix = _hermitian_part(rho.matrix, "document")
-    least = np.linalg.eigvalsh(rho.matrix)[0]
-    _check_psd(least, "document")
-    if -least > TOLERANCES["psd"]:  # keep the PSD part, which every later PSD check passes
-        vals, vecs = np.linalg.eigh(rho.matrix)
-        rho.matrix = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    rho.matrix = qstate.psd_part(rho.matrix, "document")
     return rho
 
 

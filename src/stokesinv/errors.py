@@ -5,8 +5,7 @@ EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 
 TOLERANCES = {
-    "hermitian": 1e-10,  # max |m - m^dagger| of a matrix to diagonalize
-    "psd": 1e-10,  # minus the smallest eigenvalue of a density matrix
+    "psd": 1e-10,  # max |m - m^dagger| and minus the smallest eigenvalue of a density matrix
     "document": 1e-8,  # a density-matrix document's Hermiticity and PSD
     "amplitude_norm": 1e-9,  # | |psi|^2 - 1 | of an amplitude document
     "imag_residue": 1e-8,  # largest |imaginary part| of a Stokes component

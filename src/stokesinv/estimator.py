@@ -26,8 +26,6 @@ from .stokes import (
     density_from_stokes,
     hs_overlap,
     minkowski_invariant,
-    spin_flip,
-    stokes_tensor,
 )
 
 # Eigenvector columns of sigma_1..sigma_3, ordered eigenvalue +1 then -1,
@@ -158,16 +156,3 @@ def tomography_simulate(
         psd_ok=density_from_stokes(stokes_hat).psd_ok,
         seed=int(seed),
     )
-
-
-def estimator_compare(rho, shots: int, seed: int) -> dict:
-    """Run both estimation routes against the same state with a matched total
-    shot budget: the tomography route gets shots // 3^n per setting (min 1)."""
-    rho = as_density(rho)
-    if shots < 1:
-        raise ZeroShots("comparison needs shots >= 1")
-    direct = swap_network_estimate(rho, spin_flip(rho), shots, seed)
-    per_setting = max(1, shots // 3**rho.n_qubits)
-    tomo = tomography_simulate(rho, per_setting, seed)
-    tomo_exact = minkowski_invariant(stokes_tensor(rho))
-    return {"direct": direct, "tomo": tomo, "exact": tomo_exact}

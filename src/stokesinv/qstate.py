@@ -42,27 +42,30 @@ def _hermitian_part(m: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (m + h)
 
 
-def _check_psd(least_eigenvalue: float, name: str) -> None:
-    check(name, -least_eigenvalue, NotPositiveSemidefinite, "minus the least eigenvalue")
-
-
 def kron_all(mats) -> np.ndarray:
     """Tensor product of `mats` with the first factor most significant."""
     return functools.reduce(np.kron, mats)
 
 
-def eigh(m: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors as columns.
-    """
-    return np.linalg.eigh(_hermitian_part(m, "hermitian"))
+def psd_part(m: np.ndarray, name: str) -> np.ndarray:
+    """The Hermitian part of `m`, refused unless its anti-Hermitian residue and
+    minus its least eigenvalue pass tolerance `name`. It keeps its bits when
+    the least eigenvalue passes "psd" too; below that its eigenvalues are
+    clipped at 0, so every later "psd" check passes it."""
+    h = _hermitian_part(m, name)
+    least = np.linalg.eigvalsh(h)[0]
+    check(name, -least, NotPositiveSemidefinite, "minus the least eigenvalue")
+    if -least <= TOLERANCES["psd"]:
+        return h
+    vals, vecs = np.linalg.eigh(h)  # about 3 eigvalsh: only a projected matrix pays it
+    return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues that pass the "psd" check are clamped to 0."""
-    vals, vecs = eigh(m)
-    _check_psd(vals[0], "psd")
+    """Hermitian PSD square root of a matrix whose anti-Hermitian residue and
+    minus least eigenvalue pass tolerance "psd"; its eigenvalues are clamped to 0."""
+    vals, vecs = np.linalg.eigh(_hermitian_part(m, "psd"))
+    check("psd", -vals[0], NotPositiveSemidefinite, "minus the least eigenvalue")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 

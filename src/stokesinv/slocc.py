@@ -1,5 +1,5 @@
-"""Local SL(2,C) filtering in the density-matrix picture, the induced
-O(1,3) action on Stokes tensors, and renormalization bookkeeping."""
+"""Local SL(2,C) filtering in the density-matrix picture and the induced
+O(1,3) action on Stokes tensors."""
 
 from __future__ import annotations
 
@@ -86,13 +86,6 @@ def apply_lorentz_to_stokes(s: StokesTensor, ls) -> StokesTensor:
             "%d Lorentz matrices for %d qubits" % (len(ls), s.n_qubits)
         )
     return StokesTensor(s.n_qubits, _apply_legs(s.values, _pair_legs(ls)))
-
-
-def renormalize(s: StokesTensor) -> StokesTensor:
-    """Divide through by the intensity component so values[0] = 1."""
-    s0 = s.values[0]
-    check("annihilation", s0, EnsembleAnnihilated, "intensity component")
-    return StokesTensor(s.n_qubits, s.values / s0)
 
 
 def filter_state(rho, op: LocalOperation) -> FilterReport:

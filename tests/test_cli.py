@@ -301,6 +301,9 @@ class TestMalformedInput:
             {"n": 1, "amplitudes": [[1.0, 0.0, 5.0], [0.0, 0.0]]},
             {"n": 1, "matrix": [[[1.0, 0.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
             {"n": 1, "amplitudes": [_ONE, _ZERO], "matrix": [[_ONE, _ZERO], [_ZERO, _ZERO]]},
+            # a JSON boolean in place of a number
+            {"n": 1, "amplitudes": [[True, False], _ZERO]},
+            {"n": 1, "matrix": [[[True, False], _ZERO], [_ZERO, _ZERO]]},
         ],
     )
     def test_bad_state_document(self, capsys, tmp_path, doc):
@@ -310,6 +313,14 @@ class TestMalformedInput:
         assert code == 2
         assert json.loads(err)["code"] == 2
         assert json.loads(err)["error"] in ("ParseError", "BadStateName")
+
+    def test_object_entry_names_the_fault(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 1, "amplitudes": [{"re": 1.0, "im": 0.0}, _ZERO]}))
+        code, out, err = run(capsys, "invariant", "--state", str(path))
+        assert code == 2 and out == ""
+        message = json.loads(err)["message"]
+        assert "not an [re, im] pair of numbers" in message and "complex()" not in message
 
     def test_state_document_without_a_state(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -351,10 +362,12 @@ class TestMalformedInput:
              3, "DimensionMismatch"),
             ({"ops": [_EYE]}, 2, "ParseError"),
             ({"ops": [[[[1.0, 0.0, 5.0], _ZERO], [_ZERO, _ONE]], _EYE]}, 2, "ParseError"),
+            ({"ops": [[[[True, False], _ZERO], [_ZERO, _ONE]], _EYE]}, 2, "ParseError"),
         ],
         ids=[
             "ragged-row", "three-entry-row", "huge-integer", "object-entry", "ops-not-a-list",
             "not-an-object", "three-by-three", "one-op-for-two-qubits", "three-number-entry",
+            "boolean-entry",
         ],
     )
     def test_bad_ops_document(self, capsys, tmp_path, doc, code, error):
@@ -522,7 +535,7 @@ def _document_matrix(doc):
 class TestAntiHermitianResidueInsideTolerance:
     """Documents the "document" tolerance accepts are refused by no later
     check: neither by the spin-flip route, which has no imaginary-part check
-    of its own, nor by the tighter "hermitian" tolerance of concurrence."""
+    of its own, nor by the tighter "psd" tolerance of concurrence."""
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_invariant_accepted(self, capsys, tmp_path, n):

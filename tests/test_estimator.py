@@ -190,27 +190,3 @@ class TestTomography:
             estimator.tomography_simulate(bell(), 0, 0)
         with pytest.raises(ZeroShots):
             estimator.tomography_simulate(bell(), 5, 0, infinite=True)
-
-
-class TestEstimatorCompare:
-    def test_bell_budget(self):
-        out = estimator.estimator_compare(bell(), 9 * 10**4, 3)
-        assert out["tomo"].shots_per_setting == 10**4
-        assert abs(out["direct"].estimate - 1.0) <= 3 * out["direct"].std_error + 1e-9
-        assert abs(out["tomo"].invariant_hat - 1.0) <= 0.05
-        assert out["exact"] == pytest.approx(1.0, abs=1e-10)
-
-    def test_product_near_zero(self):
-        out = estimator.estimator_compare(qstate.basis_state("01").to_density(), 10**4, 5)
-        assert abs(out["direct"].estimate) < 0.05
-        assert abs(out["tomo"].invariant_hat) < 0.1
-        assert out["exact"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_maximally_mixed(self):
-        out = estimator.estimator_compare(qstate.maximally_mixed(2), 9 * 10**4, 1)
-        assert abs(out["direct"].estimate - 0.25) < 0.02
-        assert abs(out["tomo"].invariant_hat - 0.25) < 0.02
-
-    def test_zero_shots_rejected(self):
-        with pytest.raises(ZeroShots):
-            estimator.estimator_compare(bell(), 0, 0)

@@ -1,8 +1,11 @@
 """The package root binds its five modules and `__version__`, nothing else:
-every function is reached through the one module that defines it."""
+every function is reached through the one module that defines it; and every
+other package module uses each name it imports."""
 
 import ast
 import pathlib
+
+import pytest
 
 from stokesinv import cli
 
@@ -59,3 +62,41 @@ def test_init_binds_only_the_modules_and_version():
     source = INIT.read_text()
     assert _extra_bindings(source) == []
     assert _imported_modules(source) == MODULES
+
+
+def _unused_imports(source: str) -> list:
+    """(line, name) of every name an import binds that no expression reads;
+    `from __future__` imports bind nothing."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_lint_flags_an_import_left_behind():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .stokes import (\n"
+        "    minkowski_invariant,\n"
+        "    spin_flip,\n"
+        "    stokes_tensor,\n"
+        ")\n"
+        "def f(s):\n"
+        '    """Calls spin_flip."""\n'
+        "    return np.sum(minkowski_invariant(s))\n"
+    )
+    assert _unused_imports(source) == [(2, "os"), (4, "spin_flip"), (4, "stokes_tensor")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in INIT.parent.glob("*.py") if p != INIT), ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text()) == []

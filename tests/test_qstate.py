@@ -44,33 +44,6 @@ class TestKron:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-class TestEigh:
-    def test_sigma_z(self):
-        vals, _ = qstate.eigh(qstate.SIGMA[3])
-        assert np.allclose(vals, [-1, 1])
-
-    def test_maximally_mixed(self):
-        vals, _ = qstate.eigh(I2 / 2)
-        assert np.allclose(vals, [0.5, 0.5])
-
-    def test_bell_projector(self):
-        vals, _ = qstate.eigh(bell_rho())
-        assert np.allclose(vals, [0, 0, 0, 1], atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianInput):
-            qstate.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    @pytest.mark.parametrize("dim", [2, 8, 17, 64])
-    def test_roundtrip(self, dim):
-        rng = np.random.default_rng(dim)
-        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        m = z + z.conj().T
-        vals, vecs = qstate.eigh(m)
-        assert np.max(np.abs((vecs * vals) @ vecs.conj().T - m)) < 1e-9
-        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) < 1e-9
-
-
 class TestSqrtPsd:
     def test_identity(self):
         assert np.allclose(qstate.sqrt_psd(np.eye(4, dtype=complex)), np.eye(4))
@@ -94,6 +67,38 @@ class TestSqrtPsd:
     def test_rejects_negative(self):
         with pytest.raises(NotPositiveSemidefinite):
             qstate.sqrt_psd(np.diag([1.0, -0.5]).astype(complex))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NonHermitianInput, match="psd"):
+            qstate.sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def bell_with_eigenvalue(x):
+    """The phi+ projector plus x |01><01|: a matrix whose least eigenvalue is x."""
+    m = bell_rho()
+    m[1, 1] = x
+    return m
+
+
+class TestPsdPart:
+    def test_inside_the_psd_tolerance_keeps_the_hermitian_part_bit_for_bit(self):
+        m = bell_with_eigenvalue(-5e-11)
+        assert np.array_equal(qstate.psd_part(m, "document"), 0.5 * (m + m.conj().T))
+
+    def test_below_the_psd_tolerance_is_clipped(self):
+        out = qstate.psd_part(bell_with_eigenvalue(-5e-9), "document")
+        assert np.linalg.eigvalsh(out)[0] >= -1e-10
+        assert np.max(np.abs(out - bell_rho())) <= 1e-15
+
+    def test_below_the_named_tolerance_is_refused(self):
+        with pytest.raises(NotPositiveSemidefinite, match="document"):
+            qstate.psd_part(bell_with_eigenvalue(-2e-8), "document")
+
+    def test_anti_hermitian_residue_beyond_the_named_tolerance_is_refused(self):
+        m = bell_rho()
+        m[0, 3] += 2e-8
+        with pytest.raises(NonHermitianInput, match="document"):
+            qstate.psd_part(m, "document")
 
 
 class TestPartialTrace:

@@ -4,7 +4,6 @@ import pytest
 from stokesinv import qstate, slocc, stokes
 from stokesinv.errors import (
     DimensionMismatch,
-    EnsembleAnnihilated,
     NotUnimodular,
     OutOfRange,
     ParseError,
@@ -175,32 +174,6 @@ class TestApplyLorentzToStokes:
         want = apply_legs_reference(s.values, ls)
         got = slocc.apply_lorentz_to_stokes(s, ls).values
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-
-class TestRenormalize:
-    def test_normalized_noop(self):
-        s = stokes.stokes_tensor(qstate.random_mixed(2, 2, 6))
-        out = slocc.renormalize(s)
-        assert np.max(np.abs(out.values - s.values)) < 1e-12
-
-    def test_scaled(self):
-        s = stokes.stokes_tensor(qstate.random_mixed(2, 2, 7))
-        scaled = stokes.StokesTensor(2, 0.6 * s.values)
-        out = slocc.renormalize(scaled)
-        assert np.max(np.abs(out.values - s.values)) < 1e-12
-
-    def test_filtered_schmidt_gives_bell_tensor(self):
-        out = slocc.apply_local_to_density(
-            schmidt09().to_density(),
-            slocc.LocalOperation([boost_op(), np.eye(2)]),
-        )
-        renormed = slocc.renormalize(stokes.stokes_tensor(out))
-        bell_s = stokes.stokes_tensor(qstate.bell_state("phi+").to_density())
-        assert np.max(np.abs(renormed.values - bell_s.values)) < 1e-10
-
-    def test_annihilated(self):
-        with pytest.raises(EnsembleAnnihilated):
-            slocc.renormalize(stokes.StokesTensor(1, [0.0, 0, 0, 0]))
 
 
 class TestFilterState:
