@@ -1,6 +1,8 @@
-"""Entanglement and purity measures: polarization degree, linearized entropy,
-Wootters concurrence, tangle, entanglement of formation, bipartite tangle,
-three-tangle, and the pair-invariant report for three-qubit pure states."""
+"""Entanglement and purity measures, through two reports: `measure_report`
+(purity, linearized entropy, per-qubit squared polarization, Stokes scalar;
+two-qubit concurrence, pure-state tangle and EoF, pure three-qubit
+three-tangle) and `ckw_report` (a pure three-qubit state's pair invariants,
+concurrences, one-vs-rest tangles, three-tangle and monogamy residuals)."""
 
 from __future__ import annotations
 
@@ -30,26 +32,12 @@ from .stokes import (
 _FLIP2 = np.kron(SIGMA[2], SIGMA[2])
 
 
-def polarization_sq(rho, k: int) -> float:
-    """Squared polarization of qubit k: sum of the squared weight-1 Stokes
-    components on that leg; equals 2 Tr(rho_k^2) - 1."""
-    rho = as_density(rho)
-    if not 1 <= k <= rho.n_qubits:
-        raise BadSubsystem("qubit %d out of range" % k)
-    return _polarization_sq(stokes_tensor(rho), k)
-
-
 def _polarization_sq(s: StokesTensor, k: int) -> float:
     stride = 4 ** (s.n_qubits - k)
     total = 0.0
     for i in (1, 2, 3):
         total += float(s.values[i * stride]) ** 2
     return total
-
-
-def linearized_entropy(rho) -> float:
-    """1 - Tr(rho^2)."""
-    return 1.0 - as_density(rho).purity()
 
 
 def concurrence(rho) -> float:
@@ -64,11 +52,6 @@ def concurrence(rho) -> float:
     root = sqrt_psd(as_density(rho).matrix)
     lam = np.linalg.svd(root @ _FLIP2 @ root.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
-def tangle_pure2(psi: PureState) -> float:
-    """Tangle of a pure two-qubit state (concurrence squared)."""
-    return concurrence(psi) ** 2
 
 
 def eof_from_tangle(tau: float) -> float:
@@ -96,34 +79,6 @@ def bipartite_tangle(psi: PureState, cut: int) -> float:
         raise BadSubsystem("cut qubit %d out of range" % cut)
     reduced = partial_trace(psi.to_density(), [cut])
     return float(2.0 * (1.0 - reduced.purity()))
-
-
-def three_tangle(psi: PureState) -> float:
-    """Residual three-way entanglement C^2_1(23) - C^2_12 - C^2_13."""
-    if psi.n_qubits != 3:
-        raise WrongQubitCount("three-tangle needs 3 qubits")
-    rho = psi.to_density()
-    return _clip_tangle(
-        bipartite_tangle(psi, 1)
-        - concurrence(partial_trace(rho, [1, 2])) ** 2
-        - concurrence(partial_trace(rho, [1, 3])) ** 2
-    )
-
-
-def _clip_tangle(tau: float) -> float:
-    check("negative_tangle", -tau, NegativeTangle, "minus the three-tangle")
-    return float(min(max(tau, 0.0), 1.0))
-
-
-def purity_decomposition(rho):
-    """Split Tr(rho^2) of a two-qubit state into the average squared
-    single-qubit polarization and the Stokes scalar."""
-    rho = as_density(rho)
-    if rho.n_qubits != 2:
-        raise WrongQubitCount("decomposition needs 2 qubits")
-    s = stokes_tensor(rho)
-    avg_pol_sq = 0.5 * (_polarization_sq(s, 1) + _polarization_sq(s, 2))
-    return avg_pol_sq, minkowski_invariant(s)
 
 
 @dataclass
@@ -158,7 +113,7 @@ def measure_report(state) -> MeasureReport:
             rep.tangle = rep.concurrence**2
             rep.eof = eof_from_tangle(rep.tangle)
     if n == 3 and isinstance(state, PureState):
-        rep.three_tangle = three_tangle(state)
+        rep.three_tangle = ckw_report(state)["tau_ABC"]
     return rep
 
 
@@ -186,7 +141,9 @@ def ckw_report(psi: PureState) -> dict:
     for name, cut in _CUTS.items():
         others = "".join(c for c in "ABC" if c != name)
         rep["C2_%s(%s)" % (name, others)] = bipartite_tangle(psi, cut)
-    rep["tau_ABC"] = _clip_tangle(rep["C2_A(BC)"] - rep["C2_AB"] - rep["C2_AC"])
+    tau = rep["C2_A(BC)"] - rep["C2_AB"] - rep["C2_AC"]
+    check("negative_tangle", -tau, NegativeTangle, "minus the three-tangle")
+    rep["tau_ABC"] = float(min(max(tau, 0.0), 1.0))
 
     # one-vs-rest vs pair-invariant sums, and per-pair monogamy residuals
     rep["residual_A"] = rep["S2_AB"] + rep["S2_AC"] - rep["C2_A(BC)"]

@@ -258,16 +258,6 @@ def random_mixed(n: int, rank: int, seed) -> DensityMatrix:
     return DensityMatrix(n, a.T @ a.conj())
 
 
-def random_su2(seed) -> np.ndarray:
-    """Haar-uniform SU(2) element."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(4)
-    z /= np.linalg.norm(z)
-    a = z[0] + 1j * z[1]
-    b = z[2] + 1j * z[3]
-    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
-
-
 def random_sl2c(seed) -> np.ndarray:
     """Complex-Gaussian 2x2 matrix rescaled to det = 1 exactly."""
     rng = np.random.default_rng(seed)

@@ -33,6 +33,9 @@ class LocalOperation:
                 raise DimensionMismatch("local operator must be 2x2")
             if not np.all(np.isfinite(o)):
                 raise ParseError("local operator has a non-finite entry")
+            largest = float(np.max(np.abs(o)))
+            if largest >= np.sqrt(np.finfo(float).max / 2):  # below it |det| is finite
+                raise OutOfRange("local operator entry %g is out of float range" % largest)
             check("singular", abs(np.linalg.det(o)), DimensionMismatch, "local operator |det|")
 
     def __len__(self):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, DimensionMismatch, NonHermitianInput, OutOfRange, check
+from .errors import BadLength, DimensionMismatch, NonHermitianInput, check
 from .qstate import SIGMA, DensityMatrix, _has_dim, as_density, kron_all
 
 # Single-qubit maps between a flattened 2x2 matrix and its 4 Stokes components.
@@ -44,18 +44,6 @@ class StokesTensor:
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
         if not _has_dim(self.values.size, 2 * self.n_qubits):
             raise BadLength("expected 4^%d values, got %d" % (self.n_qubits, self.values.size))
-
-    def __getitem__(self, digits) -> float:
-        """S[i1..in] for one digit 0..3 per qubit, qubit 1's first."""
-        digits = tuple(digits)
-        if len(digits) != self.n_qubits:
-            raise BadLength("%d index digits for %d qubits" % (len(digits), self.n_qubits))
-        m = 0
-        for d in digits:
-            if d not in range(4):
-                raise OutOfRange("index digit %r not in 0..3" % (d,))
-            m = 4 * m + d
-        return float(self.values[m])
 
 
 @functools.lru_cache(maxsize=4)  # 4^n floats each: keep the last few n only

@@ -205,3 +205,37 @@ def random_mixed_outer_reference(n, rank, seed):
         z /= np.linalg.norm(z)
         m += p * np.outer(z, z.conj())
     return m
+
+
+def random_su2(seed):
+    """Haar-uniform SU(2) element."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(4)
+    z /= np.linalg.norm(z)
+    a = z[0] + 1j * z[1]
+    b = z[2] + 1j * z[3]
+    return np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+
+
+def three_tangle_hyperdeterminant(amplitudes):
+    """Three-tangle of a pure three-qubit state as 4 |d1 - 2 d2 + 4 d3|, Cayley's
+    hyperdeterminant of its 8 amplitudes (Coffman, Kundu & Wootters 2000);
+    a[i, j, k] is the amplitude of |ijk>, qubit 1 first."""
+    a = np.asarray(amplitudes, dtype=complex).reshape(2, 2, 2)
+    d1 = (
+        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2 + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2 + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
+    )
+    d2 = (
+        a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
+        + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
+        + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
+        + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
+        + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
+        + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
+    )
+    d3 = (
+        a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
+        + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
+    )
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))

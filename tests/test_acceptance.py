@@ -8,6 +8,8 @@ import numpy as np
 
 from stokesinv import estimator, measures, qstate, slocc, stokes
 
+from oracles import random_su2
+
 
 def report(num, desc, ok):
     print("%s criterion %d: %s" % ("PASS" if ok else "FAIL", num, desc))
@@ -59,13 +61,14 @@ def test_criterion_3_purity_identities():
         s = stokes.stokes_tensor(rho)
         s2 = stokes.minkowski_invariant(s)
         worst = max(worst, abs(rho.purity() - (1.0 - s2)))
-        worst = max(worst, abs(measures.linearized_entropy(rho) - s2))
+        worst = max(worst, abs(measures.measure_report(rho).linearized_entropy - s2))
         p2 = float(np.sum(s.values[1:] ** 2))
         worst = max(worst, abs(p2 - (1.0 - 2.0 * s2)))
     for trial in range(200):
         rho = qstate.random_mixed(2, 1 + trial % 4, 7000 + trial)
-        avg, scalar = measures.purity_decomposition(rho)
-        worst = max(worst, abs(avg + scalar - rho.purity()))
+        rep = measures.measure_report(rho)
+        avg = 0.5 * sum(rep.per_qubit_polarization_sq)
+        worst = max(worst, abs(avg + rep.stokes_scalar - rho.purity()))
     report(3, "purity identities (Euclidean norm, n=1, n=2) (worst %.2e)" % worst, worst < 1e-9)
 
 
@@ -74,10 +77,10 @@ def test_criterion_4_tangle_identity():
     for trial in range(500):
         psi = qstate.random_pure(2, 8000 + trial)
         s2 = stokes.minkowski_invariant(stokes.stokes_tensor(psi.to_density()))
-        worst = max(worst, abs(measures.tangle_pure2(psi) - s2))
+        worst = max(worst, abs(measures.measure_report(psi).tangle - s2))
     ok = worst < 1e-8
-    bell = abs(measures.tangle_pure2(qstate.bell_state("phi+")) - 1.0)
-    prod = abs(measures.tangle_pure2(qstate.basis_state("01")))
+    bell = abs(measures.measure_report(qstate.bell_state("phi+")).tangle - 1.0)
+    prod = abs(measures.measure_report(qstate.basis_state("01")).tangle)
     ok = ok and bell < 1e-10 and prod < 1e-10
     report(4, "tangle equals the two-qubit invariant (worst %.2e)" % worst, ok)
 
@@ -186,7 +189,7 @@ def test_criterion_10_local_unitary_invariance():
     for trial in range(200):
         psi = qstate.random_pure(3, 50000 + trial)
         rho = psi.to_density()
-        us = [qstate.random_su2(60000 + 3 * trial + k) for k in range(3)]
+        us = [random_su2(60000 + 3 * trial + k) for k in range(3)]
         full = qstate.kron_all(us)
         rot_psi = qstate.PureState(3, full @ psi.amplitudes)
         rot = rot_psi.to_density()
@@ -200,7 +203,8 @@ def test_criterion_10_local_unitary_invariance():
         )
         worst = max(worst, abs(rho.purity() - rot.purity()))
         worst = max(
-            worst, abs(measures.three_tangle(psi) - measures.three_tangle(rot_psi))
+            worst,
+            abs(measures.ckw_report(psi)["tau_ABC"] - measures.ckw_report(rot_psi)["tau_ABC"]),
         )
         for k in (1, 2, 3):
             worst = max(
@@ -226,13 +230,12 @@ def test_criterion_10_local_unitary_invariance():
         )
     for trial in range(200):
         psi = qstate.random_pure(2, 70000 + trial)
-        us = [qstate.random_su2(80000 + 2 * trial + k) for k in range(2)]
+        us = [random_su2(80000 + 2 * trial + k) for k in range(2)]
         rot_psi = qstate.PureState(2, qstate.kron_all(us) @ psi.amplitudes)
-        worst = max(
-            worst, abs(measures.tangle_pure2(psi) - measures.tangle_pure2(rot_psi))
-        )
-        a1, _ = measures.purity_decomposition(psi.to_density())
-        a2, _ = measures.purity_decomposition(rot_psi.to_density())
+        rep, rot_rep = measures.measure_report(psi), measures.measure_report(rot_psi)
+        worst = max(worst, abs(rep.tangle - rot_rep.tangle))
+        a1 = 0.5 * sum(rep.per_qubit_polarization_sq)
+        a2 = 0.5 * sum(rot_rep.per_qubit_polarization_sq)
         # per-qubit polarization is rotated, its average square is invariant
         worst = max(worst, abs(a1 - a2))
     report(10, "local-unitary invariance of all measures (worst %.2e)" % worst, worst < 1e-8)

@@ -363,11 +363,12 @@ class TestMalformedInput:
             ({"ops": [_EYE]}, 2, "ParseError"),
             ({"ops": [[[[1.0, 0.0, 5.0], _ZERO], [_ZERO, _ONE]], _EYE]}, 2, "ParseError"),
             ({"ops": [[[[True, False], _ZERO], [_ZERO, _ONE]], _EYE]}, 2, "ParseError"),
+            ({"ops": [[[[1e200, 0], _ZERO], [_ZERO, [1e200, 0]]], _EYE]}, 3, "OutOfRange"),
         ],
         ids=[
             "ragged-row", "three-entry-row", "huge-integer", "object-entry", "ops-not-a-list",
             "not-an-object", "three-by-three", "one-op-for-two-qubits", "three-number-entry",
-            "boolean-entry",
+            "boolean-entry", "overflowing-determinant",
         ],
     )
     def test_bad_ops_document(self, capsys, tmp_path, doc, code, error):

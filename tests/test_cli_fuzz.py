@@ -37,7 +37,7 @@ NUMBERS = st.one_of(
 # document that parse, and the rest that do not.
 PATHS = st.sampled_from([
     "@dir", "@missing", "@binary", "@pure", "@density", "@indefinite", "@object_entry", "@ops", "@ragged_ops",
-    "@triple_entry", "@both_bodies", "@triple_ops",
+    "@triple_entry", "@both_bodies", "@triple_ops", "@huge_ops",
 ])
 
 STATES = mostly(
@@ -105,7 +105,7 @@ def files(tmp_path_factory):
     and a density-matrix document, one that is not PSD, one with an object in
     place of an [re, im] pair, one with an entry of three numbers, one with
     both bodies; a filter document, one with a ragged row, one with an entry
-    of three numbers; and outputs."""
+    of three numbers, one whose determinant overflows; and outputs."""
     d = tmp_path_factory.mktemp("fuzz")
     (d / "state.bin").write_bytes(bytes(range(256)))
     (d / "pure.json").write_text(json.dumps(cli.state_to_json(qstate.w_state(3))))
@@ -121,11 +121,14 @@ def files(tmp_path_factory):
     (d / "ops.json").write_text(json.dumps({"ops": [boost, eye]}))
     (d / "ragged_ops.json").write_text(json.dumps({"ops": [[boost[0], boost[1][:1]], eye]}))
     (d / "triple_ops.json").write_text(json.dumps({"ops": [[[[2.0, 0.0, 1.0], [0.0, 0.0]], boost[1]], eye]}))
+    huge = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]
+    (d / "huge_ops.json").write_text(json.dumps({"ops": [huge, eye]}))
     names = {
         "@dir": "", "@missing": "missing.json", "@binary": "state.bin", "@pure": "pure.json",
         "@density": "density.json", "@indefinite": "indefinite.json", "@object_entry": "object_entry.json",
         "@ops": "ops.json", "@ragged_ops": "ragged_ops.json", "@out": "out.txt", "@unwritable": "missing/out.txt",
         "@triple_entry": "triple_entry.json", "@both_bodies": "both_bodies.json", "@triple_ops": "triple_ops.json",
+        "@huge_ops": "huge_ops.json",
     }
     return {key: str(d / name) for key, name in names.items()}
 
@@ -138,6 +141,7 @@ def files(tmp_path_factory):
 @hypothesis.example(argv=["stokes", "--state", "@both_bodies"])
 @hypothesis.example(argv=["filter", "--state", "bell:phi+", "--ops", "@triple_ops"])
 @hypothesis.example(argv=["filter", "--state", "bell:phi+", "--ops", "boost:1:a2=2:3"])
+@hypothesis.example(argv=["filter", "--state", "bell:phi+", "--ops", "@huge_ops"])
 def test_every_exit_is_clean(files, argv):
     argv = [files.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()

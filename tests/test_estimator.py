@@ -136,9 +136,9 @@ class TestTomography:
 
     def test_zero_ket_deterministic_z(self):
         res = estimator.tomography_simulate(qstate.basis_state("0").to_density(), 1000, 7)
-        assert res.stokes_hat[(3,)] == 1.0
-        assert abs(res.stokes_hat[(1,)]) <= 3 / np.sqrt(1000)
-        assert abs(res.stokes_hat[(2,)]) <= 3 / np.sqrt(1000)
+        assert res.stokes_hat.values[3] == 1.0
+        assert abs(res.stokes_hat.values[1]) <= 3 / np.sqrt(1000)
+        assert abs(res.stokes_hat.values[2]) <= 3 / np.sqrt(1000)
 
     def test_determinism(self):
         a = estimator.tomography_simulate(bell(), 500, 11)

@@ -4,7 +4,7 @@ import pytest
 from stokesinv import measures, qstate, slocc, stokes
 from stokesinv.errors import BadSubsystem, OutOfRange, WrongQubitCount
 
-from oracles import concurrence_bruteforce
+from oracles import concurrence_bruteforce, random_su2, three_tangle_hyperdeterminant
 
 
 def w_pair():
@@ -13,36 +13,38 @@ def w_pair():
 
 class TestPolarizationSq:
     def test_basis_leg(self):
-        rho = qstate.basis_state("0").to_density()
-        assert measures.polarization_sq(rho, 1) == pytest.approx(1.0, abs=1e-12)
+        rep = measures.measure_report(qstate.basis_state("0").to_density())
+        assert rep.per_qubit_polarization_sq[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_marginals_unpolarized(self):
-        rho = qstate.bell_state("phi+").to_density()
+        rep = measures.measure_report(qstate.bell_state("phi+").to_density())
         for k in (1, 2):
-            assert measures.polarization_sq(rho, k) == pytest.approx(0.0, abs=1e-12)
+            assert rep.per_qubit_polarization_sq[k - 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_w3_first_qubit(self):
         # rho_A = diag(2/3, 1/3) so P^2 = (1/3)^2
-        rho = qstate.w_state(3).to_density()
-        assert measures.polarization_sq(rho, 1) == pytest.approx(1 / 9, abs=1e-12)
+        rep = measures.measure_report(qstate.w_state(3).to_density())
+        assert rep.per_qubit_polarization_sq[0] == pytest.approx(1 / 9, abs=1e-12)
 
     def test_matches_reduced_purity(self):
         rho = qstate.random_mixed(3, 4, 77)
+        rep = measures.measure_report(rho)
         for k in (1, 2, 3):
             reduced = qstate.partial_trace(rho, [k])
             want = 2.0 * reduced.purity() - 1.0
-            assert measures.polarization_sq(rho, k) == pytest.approx(want, abs=1e-9)
+            assert rep.per_qubit_polarization_sq[k - 1] == pytest.approx(want, abs=1e-9)
 
 
 class TestLinearizedEntropy:
     def test_pure(self):
-        assert measures.linearized_entropy(
+        assert measures.measure_report(
             qstate.random_pure(2, 1).to_density()
-        ) == pytest.approx(0.0, abs=1e-10)
+        ).linearized_entropy == pytest.approx(0.0, abs=1e-10)
 
     def test_maximally_mixed(self):
-        assert measures.linearized_entropy(qstate.maximally_mixed(1)) == pytest.approx(0.5)
-        assert measures.linearized_entropy(qstate.maximally_mixed(2)) == pytest.approx(0.75)
+        for n, want in ((1, 0.5), (2, 0.75)):
+            rep = measures.measure_report(qstate.maximally_mixed(n))
+            assert rep.linearized_entropy == pytest.approx(want)
 
 
 class TestConcurrence:
@@ -80,24 +82,24 @@ class TestConcurrence:
 
 class TestTanglePure2:
     def test_bell(self):
-        assert measures.tangle_pure2(qstate.bell_state("phi+")) == pytest.approx(
+        assert measures.measure_report(qstate.bell_state("phi+")).tangle == pytest.approx(
             1.0, abs=1e-10
         )
 
     def test_product(self):
-        assert measures.tangle_pure2(qstate.basis_state("01")) == pytest.approx(
+        assert measures.measure_report(qstate.basis_state("01")).tangle == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_schmidt(self):
         psi = qstate.schmidt_pair(float(np.arccos(np.sqrt(0.9))))
-        assert measures.tangle_pure2(psi) == pytest.approx(0.36, abs=1e-9)
+        assert measures.measure_report(psi).tangle == pytest.approx(0.36, abs=1e-9)
 
     def test_equals_invariant(self):
         for seed in range(50):
             psi = qstate.random_pure(2, 800 + seed)
             s2 = stokes.minkowski_invariant(stokes.stokes_tensor(psi.to_density()))
-            assert abs(measures.tangle_pure2(psi) - s2) < 1e-8
+            assert abs(measures.measure_report(psi).tangle - s2) < 1e-8
 
 
 class TestEofFromTangle:
@@ -138,13 +140,13 @@ class TestBipartiteTangle:
 
 class TestThreeTangle:
     def test_ghz(self):
-        assert measures.three_tangle(qstate.ghz_state(3)) == pytest.approx(1.0, abs=1e-9)
+        assert measures.ckw_report(qstate.ghz_state(3))["tau_ABC"] == pytest.approx(1.0, abs=1e-9)
 
     def test_w(self):
-        assert measures.three_tangle(qstate.w_state(3)) == pytest.approx(0.0, abs=1e-8)
+        assert measures.ckw_report(qstate.w_state(3))["tau_ABC"] == pytest.approx(0.0, abs=1e-8)
 
     def test_product(self):
-        assert measures.three_tangle(qstate.basis_state("000")) == pytest.approx(
+        assert measures.ckw_report(qstate.basis_state("000"))["tau_ABC"] == pytest.approx(
             0.0, abs=1e-10
         )
 
@@ -164,27 +166,42 @@ class TestThreeTangle:
                 taus.append(tau)
             assert max(taus) - min(taus) < 1e-8
 
+    def test_matches_hyperdeterminant(self):
+        states = [qstate.ghz_state(3), qstate.w_state(3), qstate.basis_state("000")]
+        states += [qstate.random_pure(3, 1600 + seed) for seed in range(20)]
+        for psi in states:
+            want = three_tangle_hyperdeterminant(psi.amplitudes)
+            assert abs(measures.ckw_report(psi)["tau_ABC"] - want) < 1e-12
+
 
 class TestPurityDecomposition:
+    """Tr(rho^2) of a two-qubit state splits into the average squared
+    single-qubit polarization and the Stokes scalar."""
+
+    @staticmethod
+    def split(rho):
+        rep = measures.measure_report(rho)
+        return 0.5 * sum(rep.per_qubit_polarization_sq), rep.stokes_scalar
+
     def test_maximally_mixed(self):
-        avg, scalar = measures.purity_decomposition(qstate.maximally_mixed(2))
+        avg, scalar = self.split(qstate.maximally_mixed(2))
         assert avg == pytest.approx(0.0, abs=1e-12)
         assert scalar == pytest.approx(0.25, abs=1e-12)
 
     def test_bell(self):
-        avg, scalar = measures.purity_decomposition(qstate.bell_state("phi+").to_density())
+        avg, scalar = self.split(qstate.bell_state("phi+").to_density())
         assert avg == pytest.approx(0.0, abs=1e-12)
         assert scalar == pytest.approx(1.0, abs=1e-12)
 
     def test_product(self):
-        avg, scalar = measures.purity_decomposition(qstate.basis_state("00").to_density())
+        avg, scalar = self.split(qstate.basis_state("00").to_density())
         assert avg == pytest.approx(1.0, abs=1e-12)
         assert scalar == pytest.approx(0.0, abs=1e-12)
 
     def test_sums_to_purity(self):
         for seed in range(30):
             rho = qstate.random_mixed(2, 3, 1100 + seed)
-            avg, scalar = measures.purity_decomposition(rho)
+            avg, scalar = self.split(rho)
             assert abs(avg + scalar - rho.purity()) < 1e-9
 
 
@@ -219,20 +236,15 @@ class TestSharedIntermediates:
         rep = measures.measure_report(rho)
         s = stokes.stokes_tensor(rho)
         assert rep.per_qubit_polarization_sq == [
-            measures.polarization_sq(rho, k) for k in range(1, n + 1)
+            sum(s.values[i * 4 ** (n - k)] ** 2 for i in (1, 2, 3)) for k in range(1, n + 1)
         ]
+        assert rep.purity == stokes.euclidean_purity(s)
         assert rep.stokes_scalar == stokes.minkowski_invariant(s)
-        if n == 2:
-            avg, scalar = measures.purity_decomposition(rho)
-            assert avg == 0.5 * (
-                measures.polarization_sq(rho, 1) + measures.polarization_sq(rho, 2)
-            )
-            assert scalar == rep.stokes_scalar
 
     @pytest.mark.parametrize("spec", ["phi+", "psi-", "random"])
     def test_pure_two_qubit_report_takes_one_concurrence(self, spec, monkeypatch):
         psi = qstate.random_pure(2, 1700) if spec == "random" else qstate.bell_state(spec)
-        want = measures.tangle_pure2(psi)
+        want = measures.concurrence(psi) ** 2
         calls = []
         concurrence = measures.concurrence
 
@@ -251,13 +263,7 @@ class TestSharedIntermediates:
     )
     def test_pure_three_qubit_report_takes_the_three_tangle(self, make):
         psi = make(3)
-        assert measures.measure_report(psi).three_tangle == measures.three_tangle(psi)
-
-    def test_ckw_tangle_matches_three_tangle(self):
-        for psi in [qstate.ghz_state(3), qstate.w_state(3)] + [
-            qstate.random_pure(3, 1600 + seed) for seed in range(10)
-        ]:
-            assert measures.ckw_report(psi)["tau_ABC"] == measures.three_tangle(psi)
+        assert measures.measure_report(psi).three_tangle == measures.ckw_report(psi)["tau_ABC"]
 
 
 class TestWithoutTheMaterialisedRoutes:
@@ -287,7 +293,7 @@ class TestLocalUnitaryInvariance:
         for seed in range(20):
             psi = qstate.random_pure(3, 1300 + seed)
             rho = psi.to_density()
-            us = [qstate.random_su2(1400 + 3 * seed + k) for k in range(3)]
+            us = [random_su2(1400 + 3 * seed + k) for k in range(3)]
             rot = slocc.apply_local_to_density(rho, slocc.LocalOperation(us))
             rot = qstate.DensityMatrix(3, rot.matrix)
             full = qstate.kron_all(us)
@@ -298,7 +304,7 @@ class TestLocalUnitaryInvariance:
                 stokes.minkowski_invariant(s) - stokes.minkowski_invariant(s_rot)
             ) < 1e-8
             assert abs(
-                measures.three_tangle(psi) - measures.three_tangle(rot_psi)
+                measures.ckw_report(psi)["tau_ABC"] - measures.ckw_report(rot_psi)["tau_ABC"]
             ) < 1e-8
             pair = qstate.partial_trace(rho, [1, 2])
             pair_rot = qstate.partial_trace(rot, [1, 2])
@@ -311,17 +317,12 @@ class TestRefusals:
     @pytest.mark.parametrize(
         "measure, state",
         [
-            (measures.tangle_pure2, qstate.ghz_state(3)),
             (lambda psi: measures.bipartite_tangle(psi, 1), qstate.bell_state("phi+")),
-            (measures.three_tangle, qstate.ghz_state(4)),
-            (measures.purity_decomposition, qstate.maximally_mixed(3)),
+            (lambda psi: measures.ckw_report(psi)["tau_ABC"], qstate.ghz_state(4)),
             (measures.ckw_report, qstate.bell_state("phi+")),
             (measures.concurrence, qstate.w_state(3)),
         ],
-        ids=[
-            "tangle_pure2", "bipartite_tangle", "three_tangle", "purity_decomposition", "ckw_report",
-            "concurrence",
-        ],
+        ids=["bipartite_tangle", "three_tangle", "ckw_report", "concurrence"],
     )
     def test_wrong_qubit_count(self, measure, state, monkeypatch):
         def refuse(psi):
@@ -333,11 +334,8 @@ class TestRefusals:
 
     @pytest.mark.parametrize(
         "measure, state",
-        [
-            (lambda rho: measures.polarization_sq(rho, 3), qstate.bell_state("phi+")),
-            (lambda psi: measures.bipartite_tangle(psi, 4), qstate.ghz_state(3)),
-        ],
-        ids=["polarization_sq", "bipartite_tangle"],
+        [(lambda psi: measures.bipartite_tangle(psi, 4), qstate.ghz_state(3))],
+        ids=["bipartite_tangle"],
     )
     def test_qubit_out_of_range(self, measure, state):
         with pytest.raises(BadSubsystem):

@@ -1,6 +1,7 @@
 """The package root binds its five modules and `__version__`, nothing else:
-every function is reached through the one module that defines it; and every
-other package module uses each name it imports."""
+every function is reached through the one module that defines it; every
+other package module uses each name it imports; and every public name of a
+library module is reached by the package or the benchmark workloads."""
 
 import ast
 import pathlib
@@ -11,6 +12,7 @@ from stokesinv import cli
 
 INIT = pathlib.Path(cli.__file__).with_name("__init__.py")
 MODULES = {"estimator", "measures", "qstate", "slocc", "stokes"}
+WORKLOADS = INIT.parents[2] / "bench" / "workloads.py"
 
 
 def _extra_bindings(source: str) -> list:
@@ -100,3 +102,57 @@ def test_lint_flags_an_import_left_behind():
 )
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unreached(module: str, sources: dict) -> list:
+    """(line, name) of every public top-level function, class or constant of
+    `module` that no source in `sources` (file name -> text) reads: as a bare
+    name in the module's own file, as `module.name`, or by `from .module import`."""
+    used = set()
+    for file_name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if file_name == module + ".py":
+                    used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == module:
+                    used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+                used |= {a.name for a in node.names}
+    defined = []
+    for node in ast.parse(sources[module + ".py"]).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in defined if not name.startswith("_") and name not in used]
+
+
+def test_lint_flags_a_name_put_back():
+    sources = {
+        "measures.py": (
+            "from .qstate import partial_trace\n"
+            "SCALE = 2.0\n"
+            "def concurrence(rho):\n"
+            "    return SCALE * partial_trace(rho, [1])\n"
+            "def tangle_pure2(psi):\n"
+            "    return concurrence(psi) ** 2\n"
+            "def bipartite_tangle(psi, cut):\n"
+            "    return 0.0\n"
+            "def ckw_report(psi):\n"
+            "    return {}\n"
+        ),
+        "qstate.py": "def partial_trace(rho, keep):\n    return rho\n",
+        "cli.py": "from . import measures\nfrom .measures import bipartite_tangle\nmeasures.ckw_report\n",
+        "workloads.py": "from stokesinv import measures\ntangle_pure2 = None\n",
+    }
+    assert _unreached("measures", sources) == [(5, "tangle_pure2")]
+    assert _unreached("qstate", sources) == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_public_name_is_reached(module):
+    sources = {p.name: p.read_text() for p in INIT.parent.glob("*.py")}
+    sources[WORKLOADS.name] = WORKLOADS.read_text()
+    assert _unreached(module, sources) == []

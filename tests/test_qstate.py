@@ -13,7 +13,7 @@ from stokesinv.errors import (
     OutOfRange,
 )
 
-from oracles import partial_trace_bruteforce, random_mixed_outer_reference
+from oracles import partial_trace_bruteforce, random_mixed_outer_reference, random_su2
 
 I2 = np.eye(2, dtype=complex)
 
@@ -230,7 +230,7 @@ class TestRandom:
 
     def test_su2(self):
         for seed in range(10):
-            u = qstate.random_su2(seed)
+            u = random_su2(seed)
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
             assert abs(np.linalg.det(u) - 1.0) < 1e-12
 

@@ -9,7 +9,7 @@ from stokesinv.errors import (
     ParseError,
 )
 
-from oracles import apply_legs_reference, apply_local_bruteforce, lorentz_bruteforce
+from oracles import apply_legs_reference, apply_local_bruteforce, lorentz_bruteforce, random_su2
 
 G = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -63,7 +63,7 @@ class TestLorentzOf:
 
     def test_unitary_gives_rotation_block(self):
         for seed in range(20):
-            l = slocc.lorentz_of(qstate.random_su2(seed))
+            l = slocc.lorentz_of(random_su2(seed))
             assert np.max(np.abs(l[0] - [1, 0, 0, 0])) < 1e-10
             assert np.max(np.abs(l[:, 0] - [1, 0, 0, 0])) < 1e-10
             r = l[1:, 1:]
@@ -83,7 +83,7 @@ class TestApplyLocalToDensity:
 
     def test_unitary_preserves_trace(self):
         rho = qstate.random_mixed(3, 4, 2)
-        op = slocc.LocalOperation([qstate.random_su2(s) for s in (5, 6, 7)])
+        op = slocc.LocalOperation([random_su2(s) for s in (5, 6, 7)])
         out = slocc.apply_local_to_density(rho, op)
         assert out.trace == pytest.approx(1.0, abs=1e-10)
 
@@ -150,7 +150,7 @@ class TestApplyLorentzToStokes:
 
     def test_rotations_fix_intensity(self):
         s = stokes.stokes_tensor(qstate.random_mixed(3, 3, 4))
-        ls = [slocc.lorentz_of(qstate.random_su2(s_)) for s_ in (8, 9, 10)]
+        ls = [slocc.lorentz_of(random_su2(s_)) for s_ in (8, 9, 10)]
         out = slocc.apply_lorentz_to_stokes(s, ls)
         assert out.values[0] == pytest.approx(s.values[0], abs=1e-10)
 
@@ -179,7 +179,7 @@ class TestApplyLorentzToStokes:
 class TestFilterState:
     def test_unitary_gain_one(self):
         rho = qstate.random_mixed(2, 2, 8)
-        op = slocc.LocalOperation([qstate.random_su2(20), qstate.random_su2(21)])
+        op = slocc.LocalOperation([random_su2(20), random_su2(21)])
         rep = slocc.filter_state(rho, op)
         assert rep.attenuation == pytest.approx(1.0, abs=1e-10)
         assert rep.gain == pytest.approx(1.0, abs=1e-9)
