@@ -141,7 +141,11 @@ def euclidean_purity(s: StokesTensor) -> float:
 
 def _parity_signs(n: int) -> np.ndarray:
     """(-1)^popcount over the 2^n row (or column) indices, (1, -1)^xn."""
-    return kron_all([np.array([1.0, -1.0])] * n)
+    index = np.arange(2**n)
+    parity = np.zeros_like(index)
+    for bit in range(n):
+        parity ^= index >> bit
+    return 1.0 - 2.0 * (parity & 1)
 
 
 def spin_flip(rho) -> DensityMatrix:

@@ -1,3 +1,7 @@
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -273,3 +277,61 @@ class TestRandomMixedGram:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * 16 * 4**n
+
+
+_FAULTS_PER_PASS = """
+import resource
+from stokesinv import qstate, stokes
+rho = qstate.random_mixed(9, 2, 0)
+def passes():
+    stokes.density_from_stokes(stokes.stokes_tensor(rho))
+for _ in range(2):
+    passes()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    passes()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+# 32-bit glibc refuses an mmap threshold over 16 MiB, so nothing is set there
+_glibc_64 = pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or sys.maxsize <= 2**32,
+    reason="64-bit glibc's mallopt",
+)
+
+
+class TestHeldBlocks:
+    @_glibc_64
+    def test_dense_passes_reuse_resident_pages(self):
+        # a 9-qubit round trip frees and takes back 4 MiB blocks; with them
+        # unmapped or trimmed it faults about 1500 zeroed pages per call
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qstate.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", _FAULTS_PER_PASS],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert float(out.stdout) < 16
+
+    @_glibc_64
+    def test_set_on_glibc(self):
+        assert qstate._hold_freed_blocks() is True
+
+    def test_no_libc_changes_nothing(self, monkeypatch):
+        def no_library(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(qstate.ctypes, "CDLL", no_library)
+        assert qstate._hold_freed_blocks() is False
+
+    def test_no_mallopt_changes_nothing(self, monkeypatch):
+        class NoMallopt:
+            def __init__(self, name):
+                pass
+
+        monkeypatch.setattr(qstate.ctypes, "CDLL", NoMallopt)
+        assert qstate._hold_freed_blocks() is False

@@ -262,6 +262,15 @@ class TestEuclideanPurity:
         assert stokes.euclidean_purity(s) == pytest.approx(0.75, abs=1e-9)
 
 
+class TestParitySigns:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_kron_power(self, n):
+        want = qstate.kron_all([np.array([1.0, -1.0])] * n)
+        got = stokes._parity_signs(n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 class TestSpinFlip:
     def test_zero_ket(self):
         out = stokes.spin_flip(qstate.basis_state("0").to_density())
