@@ -149,8 +149,8 @@ def parse_ops(spec: str, n_qubits: int) -> slocc.LocalOperation:
     op = slocc.LocalOperation(
         [_complex_entries(o, 2, "LocalOperation") for o in doc["ops"]]
     )
-    if len(op) != n_qubits:
-        raise ParseError("%d ops for %d qubits" % (len(op), n_qubits))
+    if len(op.ops) != n_qubits:
+        raise ParseError("%d ops for %d qubits" % (len(op.ops), n_qubits))
     return op
 
 

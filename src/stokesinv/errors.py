@@ -13,8 +13,7 @@ TOLERANCES = {
     "unimodular": 1e-8,  # |det a - 1| of a filter operator
     "singular": 1e-9,  # floor on |det a| of a local operator
     "annihilation": 1e-12,  # floor on the trace (intensity) left in a state
-    "tangle_range": 1e-12,  # how far a tangle lies outside [0, 1]
-    "negative_tangle": 1e-8,  # minus a three-tangle
+    "tangle_range": 1e-8,  # how far a tangle lies outside [0, 1]; admits (1 + amplitude_norm)^2
     "monogamy": 1e-6,  # largest CKW residual of a three-qubit pure state
     "zero_probability": 1e-15,  # outcome probabilities below it become exact 0
     "sl2c_det": 1e-6,  # floor on |det| of a Gaussian draw rescaled to det 1

@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -59,7 +58,7 @@ class EstimateReport:
     shots: int
     std_error: float
     seed: int
-    exact: Optional[float] = None
+    exact: float
 
 
 @dataclass(eq=False)

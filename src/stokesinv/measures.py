@@ -12,7 +12,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    BadSubsystem,
     IdentityViolation,
     NegativeTangle,
     OutOfRange,
@@ -71,16 +70,6 @@ def _binary_entropy(x: float) -> float:
     return h
 
 
-def bipartite_tangle(psi: PureState, cut: int) -> float:
-    """C^2 of the one-vs-rest split at `cut`: 2 (1 - Tr(rho_cut^2))."""
-    if psi.n_qubits != 3:
-        raise WrongQubitCount("bipartite tangle defined here for 3 qubits")
-    if not 1 <= cut <= 3:
-        raise BadSubsystem("cut qubit %d out of range" % cut)
-    reduced = partial_trace(psi.to_density(), [cut])
-    return float(2.0 * (1.0 - reduced.purity()))
-
-
 @dataclass
 class MeasureReport:
     purity: float
@@ -118,7 +107,7 @@ def measure_report(state) -> MeasureReport:
 
 
 _PAIRS = {"AB": (1, 2), "AC": (1, 3), "BC": (2, 3)}
-_CUTS = {"A": 1, "B": 2, "C": 3}
+_CUTS = {"A(BC)": 1, "B(AC)": 2, "C(AB)": 3}
 
 
 def ckw_report(psi: PureState) -> dict:
@@ -126,9 +115,10 @@ def ckw_report(psi: PureState) -> dict:
     three-tangle of a pure three-qubit state, with the monogamy residuals.
 
     Pair invariants (spin-flip overlap on reduced pairs), concurrences
-    (Wootters) and bipartite tangles (reduced purities) each take their own
-    route, so the identities are genuine checks; the three-tangle is
-    C2_A(BC) - C2_AB - C2_AC from those values.
+    (Wootters) and one-vs-rest tangles (2 (1 - Tr rho_k^2), the reduced
+    purities of the one rho built here) each take their own route, so the
+    identities are genuine checks; the three-tangle is C2_A(BC) - C2_AB -
+    C2_AC from those values, refused below -"tangle_range".
     """
     if psi.n_qubits != 3:
         raise WrongQubitCount("ckw report needs 3 qubits")
@@ -139,10 +129,9 @@ def ckw_report(psi: PureState) -> dict:
         rep["S2_" + name] = invariant_via_spinflip(reduced)
         rep["C2_" + name] = concurrence(reduced) ** 2
     for name, cut in _CUTS.items():
-        others = "".join(c for c in "ABC" if c != name)
-        rep["C2_%s(%s)" % (name, others)] = bipartite_tangle(psi, cut)
+        rep["C2_" + name] = 2.0 * (1.0 - partial_trace(rho, [cut]).purity())
     tau = rep["C2_A(BC)"] - rep["C2_AB"] - rep["C2_AC"]
-    check("negative_tangle", -tau, NegativeTangle, "minus the three-tangle")
+    check("tangle_range", -tau, NegativeTangle, "minus the three-tangle")
     rep["tau_ABC"] = float(min(max(tau, 0.0), 1.0))
 
     # one-vs-rest vs pair-invariant sums, and per-pair monogamy residuals

@@ -38,9 +38,6 @@ class LocalOperation:
                 raise OutOfRange("local operator entry %g is out of float range" % largest)
             check("singular", abs(np.linalg.det(o)), DimensionMismatch, "local operator |det|")
 
-    def __len__(self):
-        return len(self.ops)
-
 
 @dataclass
 class FilterReport:
@@ -72,8 +69,8 @@ def apply_local_to_density(rho, op: LocalOperation) -> DensityMatrix:
     2 (2^(n//2) + 2^(n - n//2)) 4^n multiply-adds instead of 2 * 8^n."""
     rho = as_density(rho)
     n = rho.n_qubits
-    if len(op) != n:
-        raise DimensionMismatch("%d local operators for %d qubits" % (len(op), n))
+    if len(op.ops) != n:
+        raise DimensionMismatch("%d local operators for %d qubits" % (len(op.ops), n))
     left = kron_all(op.ops[: n // 2]) if n > 1 else np.eye(1)
     right = kron_all(op.ops[n // 2 :])
     out = _apply_legs(rho.matrix, [left, right, left.conj(), right.conj()])

@@ -515,17 +515,17 @@ class TestMalformedInput:
         assert json.loads(out)["invariant"] == pytest.approx(0.5, abs=1e-12)
 
 
-def _near_tolerance_document(n):
+def _near_tolerance_document(n, d=0.45e-8):
     """A density document whose anti-Hermitian residue max |m - m^H| is
-    0.9e-8, just inside the "document" tolerance: one real pair
+    2d (0.9e-8), just inside the "document" tolerance: one real pair
     m[r, c] += d, m[c, r] -= d. It sits where the mirrored entry rho[~r, ~c]
     has the largest imaginary part, which is where it moves the imaginary
     part of the spin-flip sum most; one pair moves each Stokes component's
     imaginary part by at most 2d, inside the "imag_residue" tolerance."""
     rho = qstate.random_mixed(n, 2, 50 + n).matrix.copy()
     r, c = np.unravel_index(np.argmax(np.abs(rho[::-1, ::-1].imag)), rho.shape)
-    rho[r, c] += 0.45e-8
-    rho[c, r] -= 0.45e-8
+    rho[r, c] += d
+    rho[c, r] -= d
     return {"n": n, "matrix": [[[z.real, z.imag] for z in row] for row in rho.tolist()]}
 
 
@@ -575,18 +575,13 @@ class TestAntiHermitianResidueInsideTolerance:
             assert got["concurrence"] == pytest.approx(measures.concurrence(hermitian), abs=1e-14)
 
 
-def _bell_with_eigenvalue(x):
-    """The phi+ projector plus x |01><01|: a density document whose least
-    eigenvalue is x."""
-    return {
-        "n": 2,
-        "matrix": [
-            [[0.5, 0], [0, 0], [0, 0], [0.5, 0]],
-            [[0, 0], [x, 0], [0, 0], [0, 0]],
-            [[0, 0], [0, 0], [0, 0], [0, 0]],
-            [[0.5, 0], [0, 0], [0, 0], [0.5, 0]],
-        ],
-    }
+def _ghz_with_eigenvalue(n, x):
+    """The n-qubit GHZ projector (phi+ for n = 2) plus x |0..01><0..01|: a
+    density document whose least eigenvalue is x."""
+    m = np.zeros((2**n, 2**n))
+    m[0, 0] = m[0, -1] = m[-1, 0] = m[-1, -1] = 0.5
+    m[1, 1] = x
+    return {"n": n, "matrix": [[[v, 0.0] for v in row] for row in m.tolist()]}
 
 
 class TestNegativeEigenvalueInsideTolerance:
@@ -595,7 +590,7 @@ class TestNegativeEigenvalueInsideTolerance:
     kept as its PSD part, one above it keeps its bits."""
 
     def test_measures_accepted(self, capsys, tmp_path):
-        doc = _bell_with_eigenvalue(-5e-9)
+        doc = _ghz_with_eigenvalue(2, -5e-9)
         raw = _document_matrix(doc)
         least = np.linalg.eigvalsh(raw)[0]
         assert TOLERANCES["psd"] < -least <= TOLERANCES["document"]
@@ -609,8 +604,79 @@ class TestNegativeEigenvalueInsideTolerance:
         assert np.linalg.eigvalsh(cli.state_from_json(doc).matrix)[0] >= -TOLERANCES["psd"]
 
     def test_inside_the_psd_tolerance_keeps_its_bits(self):
-        doc = _bell_with_eigenvalue(-5e-11)
+        doc = _ghz_with_eigenvalue(2, -5e-11)
         assert np.array_equal(cli.state_from_json(doc).matrix, _document_matrix(doc))
+
+
+def test_measures_accepts_a_bell_document_at_the_norm_tolerance(capsys, tmp_path):
+    """|psi|^2 = 1 + 9.9e-10 passes "amplitude_norm"; its tangle (1 + 9.9e-10)^2
+    passes "tangle_range", and its EoF is clamped to 1."""
+    a = [float(np.sqrt((1 + 9.9e-10) / 2)), 0.0]
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps({"n": 2, "amplitudes": [a, [0.0, 0.0], [0.0, 0.0], a]}))
+    code, out, err = run(capsys, "measures", "--state", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["eof"] == 1.0
+
+
+_COMMAND_FORMS = [
+    ["stokes"],
+    ["invariant"],
+    ["invariant", "--pair", "1,2"],
+    ["measures"],
+    ["filter", "--ops", "boost:1:a2=2"],
+    ["swapnet"],
+    ["tomo", "--shots", "0"],
+    ["tomo", "--shots", "50"],
+    ["state", "--as-density"],
+]
+
+
+def _reader_edge_documents(n):
+    """Documents just inside the readers' tolerances: amplitudes with
+    |psi|^2 - 1 = +-9.9e-10 ("amplitude_norm" 1e-9), and matrices with least
+    eigenvalue -0.99e-8 or anti-Hermitian residue 0.99e-8 ("document" 1e-8)."""
+    docs = {}
+    for name, psi in (("ghz", qstate.ghz_state(n)), ("random", qstate.random_pure(n, 30 + n))):
+        for excess in (9.9e-10, -9.9e-10):
+            scaled = qstate.PureState(n, psi.amplitudes * np.sqrt(1.0 + excess))
+            docs["%s %+.1e" % (name, excess)] = cli.state_to_json(scaled)
+    docs["eigenvalue"] = _ghz_with_eigenvalue(n, -0.99e-8)
+    docs["antihermitian"] = _near_tolerance_document(n, 0.495e-8)
+    return docs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reader_edge_documents_sit_at_the_edges(n):
+    for kind, doc in _reader_edge_documents(n).items():
+        if "amplitudes" in doc:
+            amps = np.array([complex(*z) for z in doc["amplitudes"]])
+            want = float(kind.split()[1])
+            assert abs(np.sum(np.abs(amps) ** 2) - 1.0 - want) < 1e-15, kind
+        else:
+            raw = _document_matrix(doc)
+            gap = np.max(np.abs(raw - raw.conj().T))
+            least = np.linalg.eigvalsh(0.5 * (raw + raw.conj().T))[0]
+            edge = gap if kind == "antihermitian" else -least
+            assert 0.98e-8 < edge <= TOLERANCES["document"], kind
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("argv", _COMMAND_FORMS, ids=" ".join)
+def test_no_command_refuses_what_the_reader_accepted(capsys, tmp_path, argv, n):
+    """Every command runs on every document the readers accept, except the
+    designed refusal of `measures` on a mixed three-qubit state."""
+    failed = []
+    for kind, doc in _reader_edge_documents(n).items():
+        path = tmp_path / (kind + ".json")
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, *argv, "--state", str(path))
+        refused = argv == ["measures"] and n == 3 and "matrix" in doc
+        if (code, bool(err)) != ((3, True) if refused else (0, False)):
+            failed.append((kind, code, err))
+        if refused:
+            assert json.loads(err)["error"] == "WrongQubitCount"
+    assert failed == []
 
 
 _NAMED = [

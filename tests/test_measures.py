@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stokesinv import measures, qstate, slocc, stokes
-from stokesinv.errors import BadSubsystem, OutOfRange, WrongQubitCount
+from stokesinv.errors import NegativeTangle, OutOfRange, WrongQubitCount
 
 from oracles import concurrence_bruteforce, random_su2, three_tangle_hyperdeterminant
 
@@ -115,6 +115,15 @@ class TestEofFromTangle:
         with pytest.raises(OutOfRange):
             measures.eof_from_tangle(1.5)
 
+    @pytest.mark.parametrize("tau", [1.0 + 2e-8, -2e-8])
+    def test_just_outside_the_tangle_tolerance(self, tau):
+        with pytest.raises(OutOfRange, match="tangle_range"):
+            measures.eof_from_tangle(tau)
+
+    def test_inside_the_tangle_tolerance_is_clamped(self):
+        assert measures.eof_from_tangle(1.0 + 2e-9) == 1.0
+        assert measures.eof_from_tangle(-2e-9) == 0.0
+
     def test_strictly_increasing(self):
         grid = np.linspace(0.0, 1.0, 1001)
         vals = [measures.eof_from_tangle(t) for t in grid]
@@ -122,20 +131,34 @@ class TestEofFromTangle:
 
 
 class TestBipartiteTangle:
+    """The one-vs-rest tangles C2_A(BC), C2_B(AC), C2_C(AB) of `ckw_report`."""
+
     def test_ghz_any_cut(self):
-        psi = qstate.ghz_state(3)
-        for cut in (1, 2, 3):
-            assert measures.bipartite_tangle(psi, cut) == pytest.approx(1.0, abs=1e-12)
+        rep = measures.ckw_report(qstate.ghz_state(3))
+        for cut in ("A(BC)", "B(AC)", "C(AB)"):
+            assert rep["C2_" + cut] == pytest.approx(1.0, abs=1e-12)
 
     def test_product(self):
-        assert measures.bipartite_tangle(qstate.basis_state("000"), 1) == pytest.approx(
+        assert measures.ckw_report(qstate.basis_state("000"))["C2_A(BC)"] == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_w_cut_a(self):
-        assert measures.bipartite_tangle(qstate.w_state(3), 1) == pytest.approx(
+        assert measures.ckw_report(qstate.w_state(3))["C2_A(BC)"] == pytest.approx(
             8 / 9, abs=1e-12
         )
+
+    def test_report_builds_one_density_matrix(self, monkeypatch):
+        to_density = qstate.PureState.to_density
+        calls = []
+
+        def counted(psi):
+            calls.append(psi)
+            return to_density(psi)
+
+        monkeypatch.setattr(qstate.PureState, "to_density", counted)
+        measures.ckw_report(qstate.random_pure(3, 5))
+        assert len(calls) == 1
 
 
 class TestThreeTangle:
@@ -165,6 +188,18 @@ class TestThreeTangle:
                 )
                 taus.append(tau)
             assert max(taus) - min(taus) < 1e-8
+
+    def test_negative_three_tangle_bound(self, monkeypatch):
+        """GHZ has C2_A(BC) = 1 and S2_AB = S2_AC = 1/2; pair concurrences with
+        C2_AB = C2_AC = (1 - tau) / 2 make the three-tangle tau. Inside
+        "tangle_range" it is clamped to 0, and outside it is refused."""
+        for tau, refused in ((-0.99e-8, False), (-1.01e-8, True)):
+            monkeypatch.setattr(measures, "concurrence", lambda rho: np.sqrt(0.5 * (1.0 - tau)))
+            if refused:
+                with pytest.raises(NegativeTangle, match="tangle_range tolerance 1e-08"):
+                    measures.ckw_report(qstate.ghz_state(3))
+            else:
+                assert measures.ckw_report(qstate.ghz_state(3))["tau_ABC"] == 0.0
 
     def test_matches_hyperdeterminant(self):
         states = [qstate.ghz_state(3), qstate.w_state(3), qstate.basis_state("000")]
@@ -317,12 +352,11 @@ class TestRefusals:
     @pytest.mark.parametrize(
         "measure, state",
         [
-            (lambda psi: measures.bipartite_tangle(psi, 1), qstate.bell_state("phi+")),
             (lambda psi: measures.ckw_report(psi)["tau_ABC"], qstate.ghz_state(4)),
             (measures.ckw_report, qstate.bell_state("phi+")),
             (measures.concurrence, qstate.w_state(3)),
         ],
-        ids=["bipartite_tangle", "three_tangle", "ckw_report", "concurrence"],
+        ids=["three_tangle", "ckw_report", "concurrence"],
     )
     def test_wrong_qubit_count(self, measure, state, monkeypatch):
         def refuse(psi):
@@ -330,13 +364,4 @@ class TestRefusals:
 
         monkeypatch.setattr(qstate.PureState, "to_density", refuse)
         with pytest.raises(WrongQubitCount):
-            measure(state)
-
-    @pytest.mark.parametrize(
-        "measure, state",
-        [(lambda psi: measures.bipartite_tangle(psi, 4), qstate.ghz_state(3))],
-        ids=["bipartite_tangle"],
-    )
-    def test_qubit_out_of_range(self, measure, state):
-        with pytest.raises(BadSubsystem):
             measure(state)

@@ -77,6 +77,12 @@ def test_every_entry_is_read():
     assert unread == []
 
 
+def test_tangle_range_admits_the_amplitude_norm_slack():
+    """A pure document with |psi|^2 = 1 + d, which "amplitude_norm" accepts,
+    has tangles up to (1 + d)^2."""
+    assert TOLERANCES["tangle_range"] >= (1 + TOLERANCES["amplitude_norm"]) ** 2 - 1
+
+
 def test_check_directions():
     check("psd", TOLERANCES["psd"], NonHermitianInput, "at the tolerance")
     with pytest.raises(NonHermitianInput, match="psd .*: x 1$"):
