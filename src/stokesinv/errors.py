@@ -85,9 +85,5 @@ class NotPositiveSemidefinite(StokesInvError):
     exit_code = EXIT_NUMERIC
 
 
-class NegativeTangle(StokesInvError):
-    exit_code = EXIT_NUMERIC
-
-
 class IdentityViolation(StokesInvError):
     exit_code = EXIT_NUMERIC

@@ -11,13 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    IdentityViolation,
-    NegativeTangle,
-    OutOfRange,
-    WrongQubitCount,
-    check,
-)
+from .errors import IdentityViolation, OutOfRange, WrongQubitCount, check
 from .qstate import SIGMA, PureState, as_density, partial_trace, sqrt_psd
 from .stokes import (
     StokesTensor,
@@ -131,7 +125,7 @@ def ckw_report(psi: PureState) -> dict:
     for name, cut in _CUTS.items():
         rep["C2_" + name] = 2.0 * (1.0 - partial_trace(rho, [cut]).purity())
     tau = rep["C2_A(BC)"] - rep["C2_AB"] - rep["C2_AC"]
-    check("tangle_range", -tau, NegativeTangle, "minus the three-tangle")
+    check("tangle_range", -tau, OutOfRange, "minus the three-tangle")
     rep["tau_ABC"] = float(min(max(tau, 0.0), 1.0))
 
     # one-vs-rest vs pair-invariant sums, and per-pair monogamy residuals

@@ -83,10 +83,10 @@ def psd_part(m: np.ndarray, name: str) -> np.ndarray:
 
 
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root of a matrix whose anti-Hermitian residue and
-    minus least eigenvalue pass tolerance "psd"; its eigenvalues are clamped to 0."""
-    vals, vecs = np.linalg.eigh(_hermitian_part(m, "psd"))
-    check("psd", -vals[0], NotPositiveSemidefinite, "minus the least eigenvalue")
+    """Hermitian PSD square root of `psd_part(m, "psd")`, which refuses `m`
+    outside tolerance "psd" and otherwise keeps its bits; its eigenvalues
+    are clamped to 0."""
+    vals, vecs = np.linalg.eigh(psd_part(m, "psd"))
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 

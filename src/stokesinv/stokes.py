@@ -103,10 +103,9 @@ def stokes_tensor(rho) -> StokesTensor:
     rho = as_density(rho)
     n = rho.n_qubits
     flat = _apply_legs(_to_pair_tensor(rho.matrix, n), _block_legs(_FWD, _FWD2, n))
-    values = np.abs(flat.imag)  # becomes the result, so no 4^n temporary
-    check("imag_residue", float(values.max()), NonHermitianInput, "Stokes imaginary residue")
-    values[...] = flat.real  # its own buffer: no view pinning the complex one
-    return StokesTensor(n, values)
+    residue = float(np.abs(flat.imag).max())
+    check("imag_residue", residue, NonHermitianInput, "Stokes imaginary residue")
+    return StokesTensor(n, flat.real.copy())  # a view would pin the complex buffer
 
 
 def density_from_stokes(s: StokesTensor) -> DensityMatrix:

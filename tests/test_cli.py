@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -256,9 +257,10 @@ class TestErrors:
         assert code == 2
 
     def test_domain_error(self, capsys):
-        code, _, err = run(capsys, "measures", "--state", "mixed:max:3")
+        code, _, err = run(capsys, "invariant", "--state", "w:3", "--pair", "1,4")
         assert code == 3
         assert json.loads(err)["code"] == 3
+        assert json.loads(err)["error"] == "BadSubsystem"
 
     def test_numeric_error_code(self, capsys, tmp_path):
         # a non-PSD "density matrix" document must be rejected
@@ -664,19 +666,38 @@ def test_reader_edge_documents_sit_at_the_edges(n):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("argv", _COMMAND_FORMS, ids=" ".join)
 def test_no_command_refuses_what_the_reader_accepted(capsys, tmp_path, argv, n):
-    """Every command runs on every document the readers accept, except the
-    designed refusal of `measures` on a mixed three-qubit state."""
+    """Every command runs on every document the readers accept."""
     failed = []
     for kind, doc in _reader_edge_documents(n).items():
         path = tmp_path / (kind + ".json")
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, *argv, "--state", str(path))
-        refused = argv == ["measures"] and n == 3 and "matrix" in doc
-        if (code, bool(err)) != ((3, True) if refused else (0, False)):
+        if (code, err) != (0, ""):
             failed.append((kind, code, err))
-        if refused:
-            assert json.loads(err)["error"] == "WrongQubitCount"
     assert failed == []
+
+
+def _mixed_three_qubit_states():
+    """(name, document): `mixed:max:3` with no document, then the documents
+    of a rank-2 state and of the reader-edge matrices."""
+    docs = {"rank 2": cli.state_to_json(qstate.random_mixed(3, 2, 21))}
+    docs.update((k, d) for k, d in _reader_edge_documents(3).items() if "matrix" in d)
+    return [("mixed:max:3", None)] + list(docs.items())
+
+
+@pytest.mark.parametrize("name, doc", _mixed_three_qubit_states())
+def test_measures_on_a_mixed_three_qubit_state_prints_measure_report(capsys, tmp_path, name, doc):
+    """A mixed three-qubit state gets the report every other mixed state
+    gets; only a pure one gets `ckw_report`'s."""
+    spec = name
+    if doc is not None:
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(doc))
+        spec = str(path)
+    code, out, err = run(capsys, "measures", "--state", spec)
+    assert (code, err) == (0, "")
+    want = dataclasses.asdict(measures.measure_report(cli.parse_state(spec)))
+    assert json.loads(out) == want
 
 
 _NAMED = [

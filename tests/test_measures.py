@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stokesinv import measures, qstate, slocc, stokes
-from stokesinv.errors import NegativeTangle, OutOfRange, WrongQubitCount
+from stokesinv.errors import OutOfRange, WrongQubitCount
 
 from oracles import concurrence_bruteforce, random_su2, three_tangle_hyperdeterminant
 
@@ -196,7 +196,7 @@ class TestThreeTangle:
         for tau, refused in ((-0.99e-8, False), (-1.01e-8, True)):
             monkeypatch.setattr(measures, "concurrence", lambda rho: np.sqrt(0.5 * (1.0 - tau)))
             if refused:
-                with pytest.raises(NegativeTangle, match="tangle_range tolerance 1e-08"):
+                with pytest.raises(OutOfRange, match="tangle_range tolerance 1e-08"):
                     measures.ckw_report(qstate.ghz_state(3))
             else:
                 assert measures.ckw_report(qstate.ghz_state(3))["tau_ABC"] == 0.0

@@ -1,5 +1,6 @@
 """The tolerance table in `stokesinv.errors` is the only home of a tolerance:
-no small float literal elsewhere in the package, and no entry nothing reads."""
+no small float literal elsewhere in the package, no entry nothing reads, and
+no entry whose checks raise two exception classes."""
 
 import ast
 import math
@@ -75,6 +76,39 @@ def test_every_entry_is_read():
     read = set().union(*(_string_constants(p.read_text()) for p in _modules()))
     unread = [name for name in TOLERANCES if name not in read]
     assert unread == []
+
+
+def _raised_classes(source: str) -> dict:
+    """Tolerance name -> the exception classes of the `check` calls in
+    `source` that pass it as a string constant."""
+    classes: dict = {}
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "check"
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            classes.setdefault(node.args[0].value, set()).add(ast.unparse(node.args[2]))
+    return classes
+
+
+def test_lint_flags_a_rule_with_two_classes():
+    source = (
+        'check("tangle_range", x, OutOfRange, "x")\n'
+        'check("tangle_range", -t, IdentityViolation, "minus t")\n'
+        'check(name, y, NonHermitianInput, "y")\n'
+    )
+    assert _raised_classes(source) == {"tangle_range": {"OutOfRange", "IdentityViolation"}}
+
+
+def test_each_entry_raises_one_class():
+    classes: dict = {}
+    for path in _modules():
+        for name, raised in _raised_classes(path.read_text()).items():
+            classes.setdefault(name, set()).update(raised)
+    assert {name: raised for name, raised in classes.items() if len(raised) > 1} == {}
 
 
 def test_tangle_range_admits_the_amplitude_norm_slack():
