@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import estimator, measures, qstate, slocc, stokes
-from .errors import OutOfRange, ParseError, StokesInvError, check
+from .errors import BadSubsystem, DimensionMismatch, OutOfRange, ParseError, StokesInvError, check
 from .qstate import DensityMatrix, PureState
 
 
@@ -138,7 +138,7 @@ def parse_ops(spec: str, n_qubits: int) -> slocc.LocalOperation:
         if not 0.0 < a2 < np.inf:
             raise ParseError("boost needs 0 < a2 < inf")
         if not 1 <= k <= n_qubits:
-            raise ParseError("boost qubit %d out of range" % k)
+            raise BadSubsystem("boost qubit %d invalid for %d qubits" % (k, n_qubits))
         a = np.sqrt(a2)
         ops = [np.eye(2, dtype=complex) for _ in range(n_qubits)]
         ops[k - 1] = np.diag([a, 1.0 / a]).astype(complex)
@@ -150,7 +150,7 @@ def parse_ops(spec: str, n_qubits: int) -> slocc.LocalOperation:
         [_complex_entries(o, 2, "LocalOperation") for o in doc["ops"]]
     )
     if len(op.ops) != n_qubits:
-        raise ParseError("%d ops for %d qubits" % (len(op.ops), n_qubits))
+        raise DimensionMismatch("%d ops for %d qubits" % (len(op.ops), n_qubits))
     return op
 
 
@@ -183,14 +183,13 @@ def cmd_stokes(args):
 
 def cmd_invariant(args):
     state = parse_state(args.state)
-    rho = qstate.as_density(state)
-    if args.pair:
+    if args.pair:  # read before rho is built, so a malformed pair costs no 4^n matrix
         try:
             i, j = (int(x) for x in args.pair.split(","))
         except ValueError as exc:
             raise ParseError("bad --pair %r" % args.pair) from exc
-        if i == j:
-            raise ParseError("--pair needs two different qubits, got %r" % args.pair)
+    rho = qstate.as_density(state)
+    if args.pair:
         rho = qstate.partial_trace(rho, [i, j])
     s = stokes.stokes_tensor(rho)
     doc = {
@@ -219,11 +218,11 @@ def cmd_filter(args):
 
 
 def cmd_swapnet(args):
-    a = qstate.as_density(parse_state(args.state))
-    if args.state_b == "flip":
+    state = parse_state(args.state)
+    b = None if args.state_b == "flip" else parse_state(args.state_b)  # before the 4^n rho
+    a = qstate.as_density(state)
+    if b is None:
         b = stokes.spin_flip(a)
-    else:
-        b = parse_state(args.state_b)
     doc = dataclasses.asdict(estimator.swap_network_estimate(a, b, args.shots, args.seed))
     _emit(doc, args, csv_rows=sorted(doc.items()))
 

@@ -57,15 +57,7 @@ class DimensionMismatch(StokesInvError):
     pass
 
 
-class WrongQubitCount(StokesInvError):
-    pass
-
-
 class OutOfRange(StokesInvError):
-    pass
-
-
-class ZeroShots(StokesInvError):
     pass
 
 

@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    TOLERANCES,
-    EnsembleAnnihilated,
-    OutOfRange,
-    ZeroShots,
-    check,
-)
+from .errors import TOLERANCES, EnsembleAnnihilated, OutOfRange, check
 from .qstate import _refuse_beyond_memory, as_density, kron_all
 from .stokes import (
     StokesTensor,
@@ -70,18 +64,20 @@ class TomographyResult:
     seed: int
 
 
-def _check_shot_range(shots: int) -> None:
-    if shots > _MAX_SHOTS:
-        raise OutOfRange("%d shots exceed the samplers' limit of %d" % (shots, _MAX_SHOTS))
+def _check_shot_range(shots: int, infinite: bool) -> None:
+    """Refuse as OutOfRange a shot count outside 1..2^63 - 1 (a C long), or
+    other than 0 in tomography's infinite mode."""
+    low, high = (0, 0) if infinite else (1, _MAX_SHOTS)
+    if not low <= shots <= high:
+        mode = " in infinite mode" if infinite else ""
+        raise OutOfRange("shot count %d outside %d..%d%s" % (shots, low, high, mode))
 
 
 def swap_network_estimate(a, b, shots: int, seed: int) -> EstimateReport:
     """Estimate Tr(a b) from the interference statistics of the controlled-swap
     network, simulated at the probability level: the ancilla lands in its
     bright port with probability p0 = (1 + Tr(a b)) / 2."""
-    if shots < 1:
-        raise ZeroShots("swap network needs shots >= 1")
-    _check_shot_range(shots)
+    _check_shot_range(shots, infinite=False)
     exact = hs_overlap(a, b)
     p0 = min(max(0.5 * (1.0 + exact), 0.0), 1.0)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
@@ -101,9 +97,10 @@ def tomography_simulate(
 ) -> TomographyResult:
     """Reconstruct the Stokes tensor from all 3^n full Pauli settings.
 
-    One `_apply_legs` pass maps rho, on the `stokes._pair_blocks` layout, to
-    the probabilities of every (setting, outcome) pair, a leg of size 6 per
-    qubit: `_PROBS` on a lone first qubit, `_PROBS2` on each two-qubit block.
+    One `_apply_legs` pass maps rho, laid out in the blocks of
+    `stokes._block_legs`, to the probabilities of every (setting, outcome)
+    pair, a leg of size 6 per qubit: `_PROBS` on a lone first qubit,
+    `_PROBS2` on each two-qubit block.
     The frequencies drawn from them form one tensor of the same legs, mapped
     per pair of legs to Stokes digits by `_DIGITS`. The identity digit pools
     the 3 settings of its leg, so a weight-w component sums
@@ -114,12 +111,7 @@ def tomography_simulate(
     would exceed physical memory is refused before any allocation, and so is
     a state whose trace leaves no outcome probabilities to normalise.
     """
-    if infinite:
-        if shots_per_setting != 0:
-            raise ZeroShots("infinite-shot mode requires shots_per_setting = 0")
-    elif shots_per_setting < 1:
-        raise ZeroShots("tomography needs shots_per_setting >= 1 (or infinite mode)")
-    _check_shot_range(shots_per_setting)
+    _check_shot_range(shots_per_setting, infinite)
     n = rho.n_qubits
     _refuse_beyond_memory(
         24 * 6**n, "tomography of %d qubits: 24*6^%d bytes of probabilities" % (n, n)

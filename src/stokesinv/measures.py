@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IdentityViolation, OutOfRange, WrongQubitCount, check
+from .errors import DimensionMismatch, IdentityViolation, OutOfRange, check
 from .qstate import SIGMA, PureState, as_density, partial_trace, sqrt_psd
 from .stokes import (
     StokesTensor,
@@ -41,7 +41,7 @@ def concurrence(rho) -> float:
     eigenvalues of the Hermitian product sqrt(rho) rho_tilde sqrt(rho);
     the SVD keeps full precision for the near-zero values."""
     if rho.n_qubits != 2:
-        raise WrongQubitCount("concurrence needs 2 qubits, got %d" % rho.n_qubits)
+        raise DimensionMismatch("concurrence needs 2 qubits, got %d" % rho.n_qubits)
     root = sqrt_psd(as_density(rho).matrix)
     lam = np.linalg.svd(root @ _FLIP2 @ root.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
@@ -115,7 +115,7 @@ def ckw_report(psi: PureState) -> dict:
     C2_AC from those values, refused below -"tangle_range".
     """
     if psi.n_qubits != 3:
-        raise WrongQubitCount("ckw report needs 3 qubits")
+        raise DimensionMismatch("ckw report needs 3 qubits, got %d" % psi.n_qubits)
     rho = psi.to_density()
     rep: dict = {}
     for name, pair in _PAIRS.items():

@@ -158,10 +158,10 @@ def as_density(state) -> DensityMatrix:
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every qubit not listed in `keep` (1-based indices)."""
+    """Trace out every qubit not listed in `keep`: distinct 1-based indices."""
     n = rho.n_qubits
-    keep = sorted(set(keep))
-    if not keep or keep[0] < 1 or keep[-1] > n:
+    keep = sorted(keep)
+    if not keep or keep[0] < 1 or keep[-1] > n or len(set(keep)) < len(keep):
         raise BadSubsystem("keep=%r invalid for %d qubits" % (keep, n))
     t = rho.matrix.reshape((2,) * (2 * n))
     # axes: qubit k+1's row is k, its column n+k, or k again when traced out

@@ -53,22 +53,23 @@ def _sign_vector(n: int) -> np.ndarray:
     return kron_all([np.array([1.0, -1.0, -1.0, -1.0])] * n)
 
 
-def _pair_blocks(n: int) -> list:
-    """Widths of the row (or column) blocks: a lone first qubit 2 wide when n
-    is odd, then two-qubit blocks 4 wide, so the innermost block is 4 wide."""
-    return [2] * (n % 2) + [4] * (n // 2)
+def _block_legs(one, two, n: int) -> list:
+    """The pair layout of n qubits, one item per block: `one` for a lone
+    first qubit when n is odd, then `two` for each two-qubit block, so the
+    innermost block is a pair. Items are leg maps, or the widths 2 and 4."""
+    return [one] * (n % 2) + [two] * (n // 2)
 
 
 def _to_pair_tensor(matrix: np.ndarray, n: int) -> np.ndarray:
     """Reorder a 2^n x 2^n matrix so that each leg is one block's (row, col)
     pair: (r c) for a lone first qubit, then (r1 r2 c1 c2) per two-qubit block."""
-    b = _pair_blocks(n)
+    b = _block_legs(2, 4, n)  # the blocks' row (or column) widths
     perm = [x for k in range(len(b)) for x in (k, len(b) + k)]
     return matrix.reshape(b + b).transpose(perm).reshape(-1)
 
 
 def _from_pair_tensor(t: np.ndarray, n: int) -> np.ndarray:
-    b = _pair_blocks(n)
+    b = _block_legs(2, 4, n)
     t = t.reshape([w for w in b for _ in range(2)])
     perm = [2 * k for k in range(len(b))] + [2 * k + 1 for k in range(len(b))]
     return t.transpose(perm).reshape(2**n, 2**n)
@@ -77,15 +78,9 @@ def _from_pair_tensor(t: np.ndarray, n: int) -> np.ndarray:
 def _pair_legs(mats) -> list:
     """Fuse per-qubit leg maps pairwise, kron(m1, m2), after a lone first map
     when their number is odd, so that `_apply_legs` makes half the passes on
-    the `_pair_blocks` layout."""
+    the pair layout of `_block_legs`."""
     lone, rest = list(mats[: len(mats) % 2]), mats[len(mats) % 2 :]
     return lone + [np.kron(a, b) for a, b in zip(rest[::2], rest[1::2])]
-
-
-def _block_legs(one: np.ndarray, two: np.ndarray, n: int) -> list:
-    """Leg maps for the `_pair_blocks` layout: `one` on a lone first qubit,
-    then `two` on each two-qubit block."""
-    return [one] * (n % 2) + [two] * (n // 2)
 
 
 def _apply_legs(t: np.ndarray, mats) -> np.ndarray:

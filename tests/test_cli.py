@@ -278,6 +278,55 @@ class TestErrors:
 _ONE, _ZERO = [1.0, 0.0], [0.0, 0.0]
 _EYE = [[_ONE, _ZERO], [_ZERO, _ONE]]
 
+_HUGE = "10000000000000000000"  # above 2^63 - 1
+# One class and exit code 3 per rule, whichever command meets it: a qubit
+# list that does not fit the state, a qubit count that does not fit it, and a
+# shot count outside its range. ONE_OP stands for a one-operator ops document.
+_RULE_ROUTES = [
+    (["invariant", "--state", "w:3", "--pair", "1,4"], "BadSubsystem"),
+    (["invariant", "--state", "w:3", "--pair", "0,1"], "BadSubsystem"),
+    (["invariant", "--state", "w:3", "--pair", "1,1"], "BadSubsystem"),
+    (["filter", "--state", "w:3", "--ops", "boost:0:a2=2"], "BadSubsystem"),
+    (["filter", "--state", "w:3", "--ops", "boost:4:a2=2"], "BadSubsystem"),
+    (["filter", "--state", "bell:phi+", "--ops", "ONE_OP"], "DimensionMismatch"),
+    (["swapnet", "--state", "bell:phi+", "--state-b", "ghz:3"], "DimensionMismatch"),
+    (["swapnet", "--state", "bell:phi+", "--shots", "0"], "OutOfRange"),
+    (["tomo", "--state", "bell:phi+", "--shots", "-1"], "OutOfRange"),
+    (["swapnet", "--state", "bell:phi+", "--shots", _HUGE], "OutOfRange"),
+    (["tomo", "--state", "bell:phi+", "--shots", _HUGE], "OutOfRange"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, error", _RULE_ROUTES, ids=[" ".join(argv) for argv, _ in _RULE_ROUTES]
+)
+def test_each_rule_has_one_class_on_every_route(capsys, tmp_path, argv, error):
+    ops = tmp_path / "one-op.json"
+    ops.write_text(json.dumps({"ops": [_EYE]}))
+    argv = [str(ops) if a == "ONE_OP" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert json.loads(err)["error"] == error and json.loads(err)["code"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "--pair", "x"],
+        ["invariant", "--pair", "1,2,3"],
+        ["swapnet", "--state-b", "nope"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_argument_refused_before_rho_is_built(capsys, monkeypatch, argv):
+    def refuse(psi):
+        raise AssertionError("a density matrix built before every argument was read")
+
+    monkeypatch.setattr(qstate.PureState, "to_density", refuse)
+    code, out, err = run(capsys, *argv, "--state", "ghz:3")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
@@ -332,24 +381,25 @@ class TestMalformedInput:
         err = json.loads(err)
         assert err["error"] == "ParseError" and "'amplitudes' or 'matrix'" in err["message"]
 
+    _BAD_FILTERS = [
+        ("boost:1:a2=nan", 2, "ParseError"),
+        ("boost:1:a2=inf", 2, "ParseError"),
+        ("boost:1:a2=1e-300", 3, "OutOfRange"),
+        ("boost:1:b2=2", 2, "ParseError"),
+        ("boost:x:a2=1", 2, "ParseError"),
+        ("boost:3:a2=1", 3, "BadSubsystem"),
+        ("boost:1:a2=2:3", 2, "ParseError"),
+        ("boost:1:a2=2:", 2, "ParseError"),
+    ]
+
     @pytest.mark.parametrize(
-        "ops, code",
-        [
-            ("boost:1:a2=nan", 2),
-            ("boost:1:a2=inf", 2),
-            ("boost:1:a2=1e-300", 3),
-            ("boost:1:b2=2", 2),
-            ("boost:x:a2=1", 2),
-            ("boost:3:a2=1", 2),
-            ("boost:1:a2=2:3", 2),
-            ("boost:1:a2=2:", 2),
-        ],
+        "ops, code, error", _BAD_FILTERS, ids=["%s-%d" % row[:2] for row in _BAD_FILTERS]
     )
-    def test_bad_filter(self, capsys, ops, code):
+    def test_bad_filter(self, capsys, ops, code, error):
         got, out, err = run(capsys, "filter", "--state", "bell:phi+", "--ops", ops)
         assert got == code and out == ""
         assert json.loads(err)["code"] == code
-        assert json.loads(err)["error"] == {2: "ParseError", 3: "OutOfRange"}[code]
+        assert json.loads(err)["error"] == error
 
     @pytest.mark.parametrize(
         "doc, code, error",
@@ -362,7 +412,7 @@ class TestMalformedInput:
             ([1, 2], 2, "ParseError"),
             ({"ops": [[[_ONE, _ZERO, _ZERO], [_ZERO, _ONE, _ZERO], [_ZERO, _ZERO, _ONE]], _EYE]},
              3, "DimensionMismatch"),
-            ({"ops": [_EYE]}, 2, "ParseError"),
+            ({"ops": [_EYE]}, 3, "DimensionMismatch"),
             ({"ops": [[[[1.0, 0.0, 5.0], _ZERO], [_ZERO, _ONE]], _EYE]}, 2, "ParseError"),
             ({"ops": [[[[True, False], _ZERO], [_ZERO, _ONE]], _EYE]}, 2, "ParseError"),
             ({"ops": [[[[1e200, 0], _ZERO], [_ZERO, [1e200, 0]]], _EYE]}, 3, "OutOfRange"),
@@ -392,8 +442,8 @@ class TestMalformedInput:
 
     def test_repeated_pair(self, capsys):
         code, out, err = run(capsys, "invariant", "--state", "bell:phi+", "--pair", "1,1")
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"] == "ParseError"
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "BadSubsystem"
 
     @pytest.mark.parametrize("pair", ["1,2,3", "a,b"])
     def test_malformed_pair(self, capsys, pair):
@@ -467,8 +517,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("command", ["swapnet", "tomo"])
     def test_shot_count_beyond_int64(self, capsys, command):
-        shots = "10000000000000000000"
-        code, out, err = run(capsys, command, "--state", "bell:phi+", "--shots", shots)
+        code, out, err = run(capsys, command, "--state", "bell:phi+", "--shots", _HUGE)
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "OutOfRange"
 

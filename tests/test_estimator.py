@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stokesinv import estimator, qstate, stokes
-from stokesinv.errors import DimensionMismatch, OutOfRange, ZeroShots
+from stokesinv.errors import DimensionMismatch, OutOfRange
 
 from oracles import EIGBASIS, tomography_bruteforce
 
@@ -49,7 +49,7 @@ class TestSwapNetwork:
             estimator.swap_network_estimate(
                 qstate.maximally_mixed(1), qstate.maximally_mixed(2), 10, 0
             )
-        with pytest.raises(ZeroShots):
+        with pytest.raises(OutOfRange):
             estimator.swap_network_estimate(bell(), bell(), 0, 0)
 
     def test_shot_count_beyond_the_sampler(self):
@@ -186,7 +186,7 @@ class TestTomography:
         assert peak <= 1.05 * 24 * 6**n
 
     def test_zero_shots_rejected(self):
-        with pytest.raises(ZeroShots):
+        with pytest.raises(OutOfRange):
             estimator.tomography_simulate(bell(), 0, 0)
-        with pytest.raises(ZeroShots):
+        with pytest.raises(OutOfRange):
             estimator.tomography_simulate(bell(), 5, 0, infinite=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stokesinv import measures, qstate, slocc, stokes
-from stokesinv.errors import OutOfRange, WrongQubitCount
+from stokesinv.errors import DimensionMismatch, OutOfRange
 
 from oracles import concurrence_bruteforce, random_su2, three_tangle_hyperdeterminant
 
@@ -76,7 +76,7 @@ class TestConcurrence:
             )
 
     def test_wrong_size(self):
-        with pytest.raises(WrongQubitCount):
+        with pytest.raises(DimensionMismatch):
             measures.concurrence(qstate.maximally_mixed(3))
 
 
@@ -363,5 +363,5 @@ class TestRefusals:
             raise AssertionError("a density matrix built before the qubit count was checked")
 
         monkeypatch.setattr(qstate.PureState, "to_density", refuse)
-        with pytest.raises(WrongQubitCount):
+        with pytest.raises(DimensionMismatch):
             measure(state)

@@ -1,7 +1,8 @@
 """The package root binds its five modules and `__version__`, nothing else:
 every function is reached through the one module that defines it; every
-other package module uses each name it imports; and every public name of a
-library module is reached by the package or the benchmark workloads."""
+other package module uses each name it imports; every public name of a
+library module is reached by the package or the benchmark workloads; and
+every exception class is raised somewhere in the package."""
 
 import ast
 import pathlib
@@ -156,3 +157,54 @@ def test_every_public_name_is_reached(module):
     sources = {p.name: p.read_text() for p in INIT.parent.glob("*.py")}
     sources[WORKLOADS.name] = WORKLOADS.read_text()
     assert _unreached(module, sources) == []
+
+
+def _unraised(errors_source: str, sources) -> list:
+    """(line, name) of every `StokesInvError` subclass of `errors_source` that
+    no source in `sources` raises, as `raise X(...)` or `check(..., X, ...)`."""
+    classes = {"StokesInvError"}
+    defined = []
+    for node in ast.parse(errors_source).body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(b, ast.Name) and b.id in classes for b in node.bases
+        ):
+            classes.add(node.name)
+            defined.append((node.lineno, node.name))
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                exc = node.exc.func
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check":
+                exc = node.args[2] if len(node.args) > 2 else None
+            else:
+                continue
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+    return [(line, name) for line, name in defined if name not in raised]
+
+
+def test_lint_flags_an_exception_class_put_back():
+    errors_source = (
+        "class StokesInvError(Exception):\n    exit_code = 3\n"
+        "class ParseError(StokesInvError):\n    exit_code = 2\n"
+        "class BadStateName(ParseError):\n    pass\n"
+        "class OutOfRange(StokesInvError):\n    pass\n"
+        "class Dormant(StokesInvError):\n    pass\n"
+        "class NotPositiveSemidefinite(StokesInvError):\n    pass\n"
+        "class Unrelated(Exception):\n    pass\n"
+    )
+    sources = [
+        'raise ParseError("bad")\n',
+        'if x:\n    raise BadStateName("n < 1") from None\n',
+        'check("psd", v, NotPositiveSemidefinite, "least")\n',
+        "exc = OutOfRange()  # built, not raised\n",
+        '"""raise Dormant("docstring")"""\n',
+    ]
+    assert _unraised(errors_source, sources) == [(7, "OutOfRange"), (9, "Dormant")]
+
+
+def test_every_exception_class_is_raised():
+    errors_path = INIT.with_name("errors.py")
+    sources = [p.read_text() for p in INIT.parent.glob("*.py") if p != errors_path]
+    assert _unraised(errors_path.read_text(), sources) == []

@@ -156,6 +156,9 @@ class TestPartialTrace:
             qstate.partial_trace(rho, [])
         with pytest.raises(BadSubsystem):
             qstate.partial_trace(rho, [3])
+        for keep in ([0, 1], [1, 1], [2, 1, 2]):  # a repeat is refused, not merged
+            with pytest.raises(BadSubsystem):
+                qstate.partial_trace(rho, keep)
 
 
 class TestNamedStates:

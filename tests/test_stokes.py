@@ -20,6 +20,9 @@ from oracles import (
 )
 
 
+EPS = np.finfo(float).eps
+
+
 def bell():
     return qstate.bell_state("phi+").to_density()
 
@@ -340,6 +343,15 @@ class TestInvariantViaSpinflip:
             lhs = stokes.minkowski_invariant(stokes.stokes_tensor(rho))
             rhs = stokes.invariant_via_spinflip(rho)
             assert abs(lhs - rhs) < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_odd_pure_states_have_zero_invariant(self, n):
+        """(sigma_y)^xn is antisymmetric for odd n, so psi^T (sigma_y)^xn psi
+        and with it S^2 = |<psi|psi~>|^2 vanish on both routes."""
+        for seed in range(3):
+            psi = qstate.random_pure(n, 1100 * n + seed)
+            assert abs(stokes.minkowski_invariant(stokes.stokes_tensor(psi))) <= n * EPS
+            assert abs(stokes.invariant_via_spinflip(psi)) <= n * EPS
 
     def test_half_matrix_product_only(self):
         n = 8
