@@ -158,19 +158,28 @@ def _labels(n: int):
     return ["S_" + "".join(d) for d in itertools.product("0123", repeat=n)]
 
 
-def _emit(doc, args, csv_rows=None):
-    if args.format == "csv" and csv_rows is not None:
-        text = "\n".join("%s,%s" % (k, v) for k, v in csv_rows) + "\n"
-    else:
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
+def _write(text: str, out) -> None:
+    """`text` to the --out path, or to stdout without one."""
+    if out:
         try:
-            with open(args.out, "w") as fh:
+            with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ParseError("cannot write %s: %s" % (args.out, exc.strerror)) from exc
+            raise ParseError("cannot write %s: %s" % (out, exc.strerror)) from exc
     else:
         sys.stdout.write(text)
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(doc, args, csv_rows):
+    """`doc` as JSON, or its `csv_rows` as key,value lines under --format csv."""
+    if args.format == "csv":
+        _write("".join("%s,%s\n" % (k, v) for k, v in csv_rows), args.out)
+    else:
+        _write(_json(doc), args.out)
 
 
 def cmd_stokes(args):
@@ -219,18 +228,17 @@ def cmd_filter(args):
 
 def cmd_swapnet(args):
     state = parse_state(args.state)
-    b = None if args.state_b == "flip" else parse_state(args.state_b)  # before the 4^n rho
+    b = None if args.state_b == "flip" else parse_state(args.state_b)
+    estimator.check_shot_range(args.shots, infinite=False)  # both before the 4^n rho
     a = qstate.as_density(state)
-    if b is None:
-        b = stokes.spin_flip(a)
+    b = stokes.spin_flip(a) if b is None else b
     doc = dataclasses.asdict(estimator.swap_network_estimate(a, b, args.shots, args.seed))
     _emit(doc, args, csv_rows=sorted(doc.items()))
 
 
 def cmd_tomo(args):
     state = parse_state(args.state)  # tomography_simulate guards its size first
-    infinite = args.shots == 0
-    res = estimator.tomography_simulate(state, args.shots, args.seed, infinite=infinite)
+    res = estimator.tomography_simulate(state, args.shots, args.seed, infinite=args.shots == 0)
     n, values = res.stokes_hat.n_qubits, res.stokes_hat.values.tolist()
     head = {
         "invariant_hat": res.invariant_hat,
@@ -246,7 +254,7 @@ def cmd_state(args):
     state = parse_state(args.state)
     if args.as_density:
         state = qstate.as_density(state)
-    _emit(state_to_json(state), args)  # JSON under --format csv too
+    _write(_json(state_to_json(state)), args.out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -265,14 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, shots_default=None):
+    def command(name, func, help, shots=None):
         sp = sub.add_parser(name, help=help)
         sp.add_argument("--state", required=True, help="named state or JSON file")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if name != "state":  # state writes its JSON document only
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        if shots_default is not None:
-            sp.add_argument("--shots", type=int, default=shots_default)
+        if shots:  # the (default, help) of --shots, for a command that draws
+            sp.add_argument("--shots", type=int, default=shots[0], help=shots[1])
+            sp.add_argument("--seed", type=int, default=0, help="seed of the shot draws")
         sp.set_defaults(func=func)
         return sp
 
@@ -282,11 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     command("measures", cmd_measures, "entanglement and purity measures")
     sp = command("filter", cmd_filter, "apply a det-1 local filter")
     sp.add_argument("--ops", required=True, help="boost:K:a2=V or ops JSON file")
-    sp = command("swapnet", cmd_swapnet, "swap-network overlap estimation", 10000)
+    sp = command("swapnet", cmd_swapnet, "swap-network overlap estimation", (10000, "1 to 2^63-1"))
     sp.add_argument(
         "--state-b", default="flip", help="second state, or 'flip' for the spin-flip of --state"
     )
-    command("tomo", cmd_tomo, "finite-shot Pauli tomography", 1000)
+    tomo_shots = "per Pauli setting, 0 to 2^63-1; 0 takes the exact probabilities, no draws"
+    command("tomo", cmd_tomo, "finite-shot Pauli tomography", (1000, tomo_shots))
     sp = command("state", cmd_state, "generate or convert a state document")
     sp.add_argument("--as-density", action="store_true")
     return p

@@ -64,7 +64,7 @@ class TomographyResult:
     seed: int
 
 
-def _check_shot_range(shots: int, infinite: bool) -> None:
+def check_shot_range(shots: int, infinite: bool) -> None:
     """Refuse as OutOfRange a shot count outside 1..2^63 - 1 (a C long), or
     other than 0 in tomography's infinite mode."""
     low, high = (0, 0) if infinite else (1, _MAX_SHOTS)
@@ -77,7 +77,7 @@ def swap_network_estimate(a, b, shots: int, seed: int) -> EstimateReport:
     """Estimate Tr(a b) from the interference statistics of the controlled-swap
     network, simulated at the probability level: the ancilla lands in its
     bright port with probability p0 = (1 + Tr(a b)) / 2."""
-    _check_shot_range(shots, infinite=False)
+    check_shot_range(shots, infinite=False)
     exact = hs_overlap(a, b)
     p0 = min(max(0.5 * (1.0 + exact), 0.0), 1.0)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
@@ -111,7 +111,7 @@ def tomography_simulate(
     would exceed physical memory is refused before any allocation, and so is
     a state whose trace leaves no outcome probabilities to normalise.
     """
-    _check_shot_range(shots_per_setting, infinite)
+    check_shot_range(shots_per_setting, infinite)
     n = rho.n_qubits
     _refuse_beyond_memory(
         24 * 6**n, "tomography of %d qubits: 24*6^%d bytes of probabilities" % (n, n)

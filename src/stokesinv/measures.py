@@ -1,8 +1,8 @@
 """Entanglement and purity measures, through two reports: `measure_report`
 (purity, linearized entropy, per-qubit squared polarization, Stokes scalar;
-two-qubit concurrence, pure-state tangle and EoF, pure three-qubit
-three-tangle) and `ckw_report` (a pure three-qubit state's pair invariants,
-concurrences, one-vs-rest tangles, three-tangle and monogamy residuals)."""
+two-qubit concurrence, pure-state tangle and EoF) and `ckw_report` (a pure
+three-qubit state's pair invariants, concurrences, one-vs-rest tangles, and
+the package's one three-tangle, "tau_ABC", with the monogamy residuals)."""
 
 from __future__ import annotations
 
@@ -13,13 +13,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, IdentityViolation, OutOfRange, check
 from .qstate import SIGMA, PureState, as_density, partial_trace, sqrt_psd
-from .stokes import (
-    StokesTensor,
-    euclidean_purity,
-    invariant_via_spinflip,
-    minkowski_invariant,
-    stokes_tensor,
-)
+from .stokes import StokesTensor, euclidean_purity, invariant_via_spinflip
+from .stokes import minkowski_invariant, stokes_tensor
 
 # sigma_y x sigma_y, the two-qubit spin flip
 _FLIP2 = np.kron(SIGMA[2], SIGMA[2])
@@ -27,10 +22,7 @@ _FLIP2 = np.kron(SIGMA[2], SIGMA[2])
 
 def _polarization_sq(s: StokesTensor, k: int) -> float:
     stride = 4 ** (s.n_qubits - k)
-    total = 0.0
-    for i in (1, 2, 3):
-        total += float(s.values[i * stride]) ** 2
-    return total
+    return sum(float(s.values[i * stride]) ** 2 for i in (1, 2, 3))
 
 
 def concurrence(rho) -> float:
@@ -72,14 +64,13 @@ class MeasureReport:
     stokes_scalar: float
     concurrence: Optional[float] = None
     tangle: Optional[float] = None
-    three_tangle: Optional[float] = None
     eof: Optional[float] = None
 
 
 def measure_report(state) -> MeasureReport:
-    """All measures applicable to the given state in one record. Pure-state
-    only quantities (tangle, three-tangle, EoF) are included when the input
-    is a PureState of the right size."""
+    """All measures applicable to the given state in one record, from one
+    density matrix: two-qubit states add the concurrence, and pure ones the
+    tangle and EoF. A pure three-qubit state's three-tangle is `ckw_report`'s."""
     rho = as_density(state)
     n = rho.n_qubits
     s = stokes_tensor(rho)
@@ -95,8 +86,6 @@ def measure_report(state) -> MeasureReport:
         if isinstance(state, PureState):
             rep.tangle = rep.concurrence**2
             rep.eof = eof_from_tangle(rep.tangle)
-    if n == 3 and isinstance(state, PureState):
-        rep.three_tangle = ckw_report(state)["tau_ABC"]
     return rep
 
 

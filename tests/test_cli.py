@@ -225,25 +225,83 @@ class TestParser:
     @pytest.mark.parametrize(
         "command, func, extra",
         [
-            ("stokes", cli.cmd_stokes, {}),
-            ("invariant", cli.cmd_invariant, {"pair": None}),
-            ("measures", cli.cmd_measures, {}),
-            ("filter", cli.cmd_filter, {"ops": "boost:1:a2=2"}),
-            ("swapnet", cli.cmd_swapnet, {"shots": 10000, "state_b": "flip"}),
-            ("tomo", cli.cmd_tomo, {"shots": 1000}),
+            ("stokes", cli.cmd_stokes, {"format": "json"}),
+            ("invariant", cli.cmd_invariant, {"format": "json", "pair": None}),
+            ("measures", cli.cmd_measures, {"format": "json"}),
+            ("filter", cli.cmd_filter, {"format": "json", "ops": "boost:1:a2=2"}),
+            (
+                "swapnet",
+                cli.cmd_swapnet,
+                {"format": "json", "shots": 10000, "seed": 0, "state_b": "flip"},
+            ),
+            ("tomo", cli.cmd_tomo, {"format": "json", "shots": 1000, "seed": 0}),
             ("state", cli.cmd_state, {"as_density": False}),
         ],
     )
     def test_keys_and_defaults(self, command, func, extra):
         argv = [command, "--state", "w:3"] + (["--ops", extra["ops"]] if "ops" in extra else [])
         args = vars(cli.build_parser().parse_args(argv))
-        common = {"command": command, "state": "w:3", "seed": 0, "format": "json", "out": None}
+        common = {"command": command, "state": "w:3", "out": None}
         assert args == dict(common, func=func, **extra)
 
     def test_option_of_another_command(self, capsys):
         code, out, err = run(capsys, "stokes", "--state", "w:3", "--shots", "5")
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "ParseError"
+
+
+# The options each command declares: --seed only beside the --shots of a
+# command that draws, and --format on every command but `state`, whose
+# document is JSON.
+_OPTIONS = {
+    "stokes": ["--format", "--out", "--state"],
+    "invariant": ["--format", "--out", "--pair", "--state"],
+    "measures": ["--format", "--out", "--state"],
+    "filter": ["--format", "--ops", "--out", "--state"],
+    "swapnet": ["--format", "--out", "--seed", "--shots", "--state", "--state-b"],
+    "tomo": ["--format", "--out", "--seed", "--shots", "--state"],
+    "state": ["--as-density", "--out", "--state"],
+}
+
+
+class TestOptionSurface:
+    def test_declared_options(self):
+        (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        declared = {
+            name: sorted(o for a in sp._actions if a.dest != "help" for o in a.option_strings)
+            for name, sp in sub.choices.items()
+        }
+        assert declared == _OPTIONS
+        assert sum(len(v) for v in declared.values()) == 28
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stokes", "--seed", "1"],
+            ["invariant", "--seed", "1"],
+            ["measures", "--seed", "1"],
+            ["filter", "--ops", "boost:1:a2=2", "--seed", "1"],
+            ["state", "--seed", "1"],
+            ["state", "--format", "csv"],
+        ],
+        ids=" ".join,
+    )
+    def test_undeclared_option_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--state", "bell:phi+")
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("argv", [["swapnet"], ["tomo", "--shots", "100"]], ids=" ".join)
+    def test_commands_that_draw_take_a_seed(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--state", "bell:phi+", "--seed", "3")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["seed"] == 3
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_measures_prints_no_three_tangle_key(self, capsys, fmt):
+        code, out, _ = run(capsys, "measures", "--state", "bell:phi+", "--format", fmt)
+        assert code == 0 and "concurrence" in out
+        assert "three_tangle" not in out
 
 
 class TestErrors:
@@ -326,6 +384,17 @@ def test_malformed_argument_refused_before_rho_is_built(capsys, monkeypatch, arg
     code, out, err = run(capsys, *argv, "--state", "ghz:3")
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"
+
+
+def test_swapnet_refuses_its_shot_count_before_rho_is_built(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a 4^n matrix built before the shot count was checked")
+
+    monkeypatch.setattr(qstate, "as_density", refuse)
+    monkeypatch.setattr(stokes, "spin_flip", refuse)
+    code, out, err = run(capsys, "swapnet", "--state", "ghz:12", "--shots", "0")
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert json.loads(err)["error"] == "OutOfRange"
 
 
 class TestMalformedInput:

@@ -79,21 +79,21 @@ def argvs(draw):
     argv = [command]
     if draw(st.integers(0, 9)):  # --state is required; leave it out sometimes
         argv += ["--state", draw(STATES)]
-    options = {
-        "--seed": mostly(st.integers(0, 2**31).map(str), NUMBERS),
-        "--format": mostly(st.sampled_from(["json", "csv"]), st.just("xml")),
-        "--out": mostly(st.just("@out"), st.sampled_from(["@dir", "@unwritable"])),
-    }
+    options = {"--out": mostly(st.just("@out"), st.sampled_from(["@dir", "@unwritable"]))}
+    if command != "state":  # state writes its JSON document only
+        options["--format"] = mostly(st.sampled_from(["json", "csv"]), st.just("xml"))
     if command == "invariant":
         options["--pair"] = PAIRS
     if command == "filter" and draw(st.integers(0, 9)):  # --ops is required
         argv += ["--ops", draw(OPS)]
     if command == "swapnet":
         options["--state-b"] = mostly(st.just("flip"), STATES)
-    if command in ("swapnet", "tomo"):
+    if command in ("swapnet", "tomo"):  # the commands that draw
         options["--shots"] = mostly(st.integers(1, 2000).map(str), NUMBERS)
     for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
         argv += [name, draw(options[name])]
+        if name == "--shots" and draw(st.booleans()):  # --seed only beside the shots it seeds
+            argv += ["--seed", draw(mostly(st.integers(0, 2**31).map(str), NUMBERS))]
     if command == "state" and draw(st.booleans()):
         argv.append("--as-density")
     return argv
@@ -157,7 +157,7 @@ def test_every_exit_is_clean(files, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["stokes", "--state", "bell:phi+", "--seed", "nan"],
+    ["tomo", "--state", "bell:phi+", "--seed", "nan"],
     ["tomo", "--state", "bell:phi+", "--shots", "1e300"],
     ["invariant"],
     ["nosuchcommand"],

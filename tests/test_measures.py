@@ -292,13 +292,19 @@ class TestSharedIntermediates:
         assert len(calls) == 1
         assert rep.tangle == want == rep.concurrence**2
 
-    @pytest.mark.parametrize(
-        "make", [qstate.ghz_state, qstate.w_state, lambda n: qstate.random_pure(n, 1800)],
-        ids=["ghz", "w", "random"],
-    )
-    def test_pure_three_qubit_report_takes_the_three_tangle(self, make):
-        psi = make(3)
-        assert measures.measure_report(psi).three_tangle == measures.ckw_report(psi)["tau_ABC"]
+    @pytest.mark.parametrize("seed", [1800, 1801])
+    def test_pure_three_qubit_report_builds_one_density_matrix(self, seed, monkeypatch):
+        to_density = qstate.PureState.to_density
+        calls = []
+
+        def counted(psi):
+            calls.append(psi)
+            return to_density(psi)
+
+        monkeypatch.setattr(qstate.PureState, "to_density", counted)
+        rep = measures.measure_report(qstate.random_pure(3, seed))
+        assert len(calls) == 1
+        assert not hasattr(rep, "three_tangle")  # ckw_report's tau_ABC is the one three-tangle
 
 
 class TestWithoutTheMaterialisedRoutes:
