@@ -13,7 +13,8 @@ import sys
 import numpy as np
 
 from . import estimator, measures, qstate, slocc, stokes
-from .errors import BadSubsystem, DimensionMismatch, OutOfRange, ParseError, StokesInvError, check
+from .errors import BadStateName, BadSubsystem, DimensionMismatch, OutOfRange, ParseError
+from .errors import StokesInvError, check
 from .qstate import DensityMatrix, PureState
 
 
@@ -80,7 +81,8 @@ def state_from_json(doc: dict):
     """The state of a document `state_to_json` writes: a pure state whose
     squared norm is 1, or a Hermitian PSD density matrix (within tolerance
     "document"), kept as the Hermitian part its checks passed, or as that
-    part's PSD part (eigenvalues clipped at 0) when it fails tolerance "psd"."""
+    part's PSD part (eigenvalues clipped at 0) when it fails tolerance "psd".
+    The body fixes the qubit count, and `n` must name it, else BadStateName."""
     if not isinstance(doc, dict) or "n" not in doc:
         raise ParseError("state document must be an object with an 'n' field")
     if ("amplitudes" in doc) == ("matrix" in doc):
@@ -91,24 +93,28 @@ def state_from_json(doc: dict):
     if n < 1:
         raise ParseError("state document needs n >= 1")
     if "amplitudes" in doc:
-        psi = PureState(n, _complex_entries(doc["amplitudes"], 1, "state"))
-        check("amplitude_norm", abs(psi.norm_sq - 1.0), ParseError, "| |psi|^2 - 1 |")
-        return psi
-    m = _complex_entries(doc["matrix"], 2, "state")
-    if not np.all(np.isfinite(m)):
-        raise ParseError("state document has a non-finite matrix entry")
-    rho = DensityMatrix(n, m)
+        state = PureState(_complex_entries(doc["amplitudes"], 1, "state"))
+    else:
+        m = _complex_entries(doc["matrix"], 2, "state")
+        if not np.all(np.isfinite(m)):
+            raise ParseError("state document has a non-finite matrix entry")
+        state = DensityMatrix(m)
+    if state.n_qubits != n:
+        raise BadStateName("'n' is %d, but the body's qubit count is %d" % (n, state.n_qubits))
+    if isinstance(state, PureState):
+        check("amplitude_norm", abs(state.norm_sq - 1.0), ParseError, "| |psi|^2 - 1 |")
+        return state
     bound = np.sqrt(np.finfo(float).max / 2**n)
     # bounds the trace sum and the Hermitian part the PSD check forms; a PSD rho
     # has |rho_ab| <= Tr rho, so no PSD document the trace bound passes is refused
-    largest = float(np.max(np.abs(rho.matrix)))
+    largest = float(np.max(np.abs(state.matrix)))
     if largest >= bound:
         raise OutOfRange("density matrix entry %g is out of float range" % largest)
     # keeps sum S^2 = 2^n Tr rho^2 <= 2^n (Tr rho)^2, Tr rho^2 and Tr rho rho~ finite
-    if rho.trace >= bound:
-        raise OutOfRange("density matrix trace %g overflows its Stokes norms" % rho.trace)
-    rho.matrix = qstate.psd_part(rho.matrix, "document")
-    return rho
+    if state.trace >= bound:
+        raise OutOfRange("density matrix trace %g overflows its Stokes norms" % state.trace)
+    state.matrix = qstate.psd_part(state.matrix, "document")
+    return state
 
 
 def state_to_json(state) -> dict:

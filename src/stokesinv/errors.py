@@ -45,14 +45,6 @@ class BadSubsystem(StokesInvError):
     pass
 
 
-class BadRank(StokesInvError):
-    pass
-
-
-class BadLength(StokesInvError):
-    pass
-
-
 class DimensionMismatch(StokesInvError):
     pass
 

@@ -139,7 +139,7 @@ def tomography_simulate(
     legs = _pair_legs([_DIGITS] * n)
     values = _apply_legs(t, legs) / (max(shots_per_setting, 1) * pooled)
     values[0] = 1.0
-    stokes_hat = StokesTensor(n, values)
+    stokes_hat = StokesTensor(values)
     return TomographyResult(
         stokes_hat=stokes_hat,
         shots_per_setting=shots_per_setting,

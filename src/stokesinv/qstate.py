@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     TOLERANCES,
-    BadRank,
     BadStateName,
     BadSubsystem,
     NonHermitianInput,
@@ -91,51 +90,51 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def _has_dim(length: int, n: int) -> bool:
-    """length == 2^n, decided without forming 2^n for a huge n."""
-    return length.bit_length() == n + 1 and length == 2**n
+def _log2(length: int) -> int:
+    """n for a length of 2^n >= 1, and -1 for any other length (0 included)."""
+    return length.bit_length() - 1 if length > 0 and length & (length - 1) == 0 else -1
 
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """n-qubit state vector; amplitudes indexed with qubit 1 as the MSB."""
+    """2^n amplitudes, qubit 1 the MSB; their count fixes `n_qubits` (else BadStateName)."""
 
-    n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if not _has_dim(amps.size, self.n_qubits):
-            raise BadStateName(
-                "amplitude count %d != 2^%d" % (amps.size, self.n_qubits)
-            )
+        if _log2(amps.size) < 0:
+            raise BadStateName("amplitude count %d is not a power of 2" % amps.size)
         object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def n_qubits(self) -> int:
+        return _log2(self.amplitudes.size)
 
     @property
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(
-            self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj())
-        )
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """n-qubit density matrix. Its trace need not be 1: a det-1 filter leaves
-    a state of trace `attenuation`, and `trace` reads it."""
+    """2^n x 2^n density matrix, whose side fixes `n_qubits` (else BadStateName). Its trace
+    need not be 1: a det-1 filter leaves a state of trace `attenuation`, read by `trace`."""
 
-    n_qubits: int
     matrix: np.ndarray
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
         shape = self.matrix.shape
-        if len(shape) != 2 or shape[0] != shape[1] or not _has_dim(shape[0], self.n_qubits):
-            raise BadStateName(
-                "matrix shape %s is not (2^%d, 2^%d)" % (shape, self.n_qubits, self.n_qubits)
-            )
+        if len(shape) != 2 or shape[0] != shape[1] or _log2(shape[0]) < 0:
+            raise BadStateName("matrix shape %s is not (2^n, 2^n)" % (shape,))
+
+    @property
+    def n_qubits(self) -> int:
+        return _log2(self.matrix.shape[0])
 
     @property
     def trace(self) -> float:
@@ -169,7 +168,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     out = [k - 1 for k in keep] + [n + k - 1 for k in keep]
     sub = np.einsum(t, list(range(n)) + col, out)
     m = len(keep)
-    return DensityMatrix(m, sub.reshape(2**m, 2**m))
+    return DensityMatrix(sub.reshape(2**m, 2**m))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ def bell_state(kind: str) -> PureState:
     if kind not in _BELL:
         raise BadStateName("unknown Bell state %r" % kind)
     v = np.array(_BELL[kind], dtype=complex) / np.sqrt(2)
-    return PureState(2, v)
+    return PureState(v)
 
 
 def ghz_state(n: int) -> PureState:
@@ -214,7 +213,7 @@ def ghz_state(n: int) -> PureState:
         raise BadStateName("ghz needs n >= 2")
     v = np.zeros(_checked_dim(n), dtype=complex)
     v[0] = v[-1] = 1 / np.sqrt(2)
-    return PureState(n, v)
+    return PureState(v)
 
 
 def w_state(n: int) -> PureState:
@@ -223,7 +222,7 @@ def w_state(n: int) -> PureState:
     v = np.zeros(_checked_dim(n), dtype=complex)
     for k in range(n):
         v[1 << k] = 1 / np.sqrt(n)
-    return PureState(n, v)
+    return PureState(v)
 
 
 def basis_state(bits: str) -> PureState:
@@ -232,7 +231,7 @@ def basis_state(bits: str) -> PureState:
     n = len(bits)
     v = np.zeros(_checked_dim(n), dtype=complex)
     v[int(bits, 2)] = 1.0
-    return PureState(n, v)
+    return PureState(v)
 
 
 def schmidt_pair(theta: float) -> PureState:
@@ -242,12 +241,12 @@ def schmidt_pair(theta: float) -> PureState:
     v = np.zeros(4, dtype=complex)
     v[0] = np.cos(theta)
     v[3] = np.sin(theta)
-    return PureState(2, v)
+    return PureState(v)
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
     d = _checked_dim(n)
-    return DensityMatrix(n, np.eye(d, dtype=complex) / d)
+    return DensityMatrix(np.eye(d, dtype=complex) / d)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +257,7 @@ def random_pure(n: int, seed) -> PureState:
     d = _checked_dim(n)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureState(n, z / np.linalg.norm(z))
+    return PureState(z / np.linalg.norm(z))
 
 
 def random_mixed(n: int, rank: int, seed) -> DensityMatrix:
@@ -269,14 +268,14 @@ def random_mixed(n: int, rank: int, seed) -> DensityMatrix:
     rounding and is the only 2^n x 2^n allocation."""
     d = _checked_dim(n)
     if not 1 <= rank <= d:
-        raise BadRank("rank %d not in 1..%d" % (rank, d))
+        raise OutOfRange("rank %d not in 1..%d" % (rank, d))
     rng = np.random.default_rng(seed)
     w = rng.dirichlet(np.ones(rank))
     a = np.empty((rank, d), dtype=complex)  # row k is column k of A
     for k, p in enumerate(w):
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         a[k] = np.sqrt(p) / np.linalg.norm(z) * z
-    return DensityMatrix(n, a.T @ a.conj())
+    return DensityMatrix(a.T @ a.conj())
 
 
 def random_sl2c(seed) -> np.ndarray:

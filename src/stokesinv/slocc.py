@@ -74,7 +74,7 @@ def apply_local_to_density(rho, op: LocalOperation) -> DensityMatrix:
     left = kron_all(op.ops[: n // 2]) if n > 1 else np.eye(1)
     right = kron_all(op.ops[n // 2 :])
     out = _apply_legs(rho.matrix, [left, right, left.conj(), right.conj()])
-    return DensityMatrix(n, out.reshape(2**n, 2**n))
+    return DensityMatrix(out.reshape(2**n, 2**n))
 
 
 def apply_lorentz_to_stokes(s: StokesTensor, ls) -> StokesTensor:
@@ -85,7 +85,7 @@ def apply_lorentz_to_stokes(s: StokesTensor, ls) -> StokesTensor:
         raise DimensionMismatch(
             "%d Lorentz matrices for %d qubits" % (len(ls), s.n_qubits)
         )
-    return StokesTensor(s.n_qubits, _apply_legs(s.values, _pair_legs(ls)))
+    return StokesTensor(_apply_legs(s.values, _pair_legs(ls)))
 
 
 def filter_state(rho, op: LocalOperation) -> FilterReport:

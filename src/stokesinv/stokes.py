@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLength, DimensionMismatch, NonHermitianInput, check
-from .qstate import SIGMA, DensityMatrix, _has_dim, as_density, kron_all
+from .errors import BadStateName, DimensionMismatch, NonHermitianInput, check
+from .qstate import SIGMA, DensityMatrix, _log2, as_density, kron_all
 
 # Single-qubit maps between a flattened 2x2 matrix and its 4 Stokes components.
 # _FWD[i, 2a+b] = sigma_i[b, a]  so that S_i = sum_ab rho[a,b] sigma_i[b,a]
@@ -34,16 +34,19 @@ _BWD2 = np.ascontiguousarray(_pair_map(_BWD.T).T)
 
 @dataclass(eq=False)
 class StokesTensor:
-    """Real 4^n-component tensor addressed by the flattened multi-index
-    m = sum_k i_k * 4^(n-k), i.e. the first qubit's index is most significant."""
+    """Real 4^n-component tensor, whose length fixes `n_qubits` (else BadStateName),
+    addressed by the flattened multi-index m = sum_k i_k * 4^(n-k): qubit 1 most significant."""
 
-    n_qubits: int
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
-        if not _has_dim(self.values.size, 2 * self.n_qubits):
-            raise BadLength("expected 4^%d values, got %d" % (self.n_qubits, self.values.size))
+        if _log2(self.values.size) % 2:  # odd, or -1 for no power of 2
+            raise BadStateName("value count %d is not a power of 4" % self.values.size)
+
+    @property
+    def n_qubits(self) -> int:
+        return _log2(self.values.size) // 2
 
 
 @functools.lru_cache(maxsize=4)  # 4^n floats each: keep the last few n only
@@ -100,7 +103,7 @@ def stokes_tensor(rho) -> StokesTensor:
     flat = _apply_legs(_to_pair_tensor(rho.matrix, n), _block_legs(_FWD, _FWD2, n))
     residue = float(np.abs(flat.imag).max())
     check("imag_residue", residue, NonHermitianInput, "Stokes imaginary residue")
-    return StokesTensor(n, flat.real.copy())  # a view would pin the complex buffer
+    return StokesTensor(flat.real.copy())  # a view would pin the complex buffer
 
 
 def density_from_stokes(s: StokesTensor) -> DensityMatrix:
@@ -119,7 +122,7 @@ def density_from_stokes(s: StokesTensor) -> DensityMatrix:
     w = np.stack([first.real, first.imag], axis=1).reshape(2 * k, k).T
     # a temporary, not a local, so the next pass can free it
     t = _apply_legs((s.values.reshape(k, -1).T @ w).view(complex), rest)
-    return DensityMatrix(n, _from_pair_tensor(t, n))
+    return DensityMatrix(_from_pair_tensor(t, n))
 
 
 def minkowski_invariant(s: StokesTensor) -> float:
@@ -151,7 +154,7 @@ def spin_flip(rho) -> DensityMatrix:
     out = np.conjugate(rho.matrix[::-1, ::-1])  # the one 4^n allocation
     out *= sign[:, None]
     out *= sign
-    return DensityMatrix(rho.n_qubits, out)
+    return DensityMatrix(out)
 
 
 def hs_overlap(a, b) -> float:

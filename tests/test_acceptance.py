@@ -191,7 +191,7 @@ def test_criterion_10_local_unitary_invariance():
         rho = psi.to_density()
         us = [random_su2(60000 + 3 * trial + k) for k in range(3)]
         full = qstate.kron_all(us)
-        rot_psi = qstate.PureState(3, full @ psi.amplitudes)
+        rot_psi = qstate.PureState(full @ psi.amplitudes)
         rot = rot_psi.to_density()
 
         worst = max(
@@ -222,7 +222,7 @@ def test_criterion_10_local_unitary_invariance():
     for trial in range(200):
         psi = qstate.random_pure(2, 70000 + trial)
         us = [random_su2(80000 + 2 * trial + k) for k in range(2)]
-        rot_psi = qstate.PureState(2, qstate.kron_all(us) @ psi.amplitudes)
+        rot_psi = qstate.PureState(qstate.kron_all(us) @ psi.amplitudes)
         rep, rot_rep = measures.measure_report(psi), measures.measure_report(rot_psi)
         worst = max(worst, abs(rep.tangle - rot_rep.tangle))
         a1 = 0.5 * sum(rep.per_qubit_polarization_sq)

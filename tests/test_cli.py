@@ -210,10 +210,10 @@ def _encoder_cases():
     odd[0, :3] = [complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0)]
     odd[1, :3] = [complex(np.nan, 2.0), complex(3.0, np.inf), complex(-np.inf, np.nan)]
     amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    pure = qstate.PureState(3, amps[::-2])  # keeps the negative-stride view
+    pure = qstate.PureState(amps[::-2])  # keeps the negative-stride view
     assert pure.amplitudes.strides[0] < 0
-    cases = [qstate.DensityMatrix(3, x) for x in (m, np.asfortranarray(m), m.T, odd, odd.T)]
-    return cases + [pure, qstate.PureState(1, [complex(-0.0, -0.0), complex(np.nan, -np.inf)])]
+    cases = [qstate.DensityMatrix(x) for x in (m, np.asfortranarray(m), m.T, odd, odd.T)]
+    return cases + [pure, qstate.PureState([complex(-0.0, -0.0), complex(np.nan, -np.inf)])]
 
 
 @pytest.mark.parametrize("state", _encoder_cases())
@@ -433,6 +433,23 @@ class TestMalformedInput:
         assert code == 2
         assert json.loads(err)["code"] == 2
         assert json.loads(err)["error"] in ("ParseError", "BadStateName")
+
+    @pytest.mark.parametrize(
+        "doc, said, held",
+        [
+            ({"n": 2, "amplitudes": [_ONE, _ZERO]}, 2, 1),
+            ({"n": 1, "matrix": [[_ONE] + [_ZERO] * 3] + [[_ZERO] * 4] * 3}, 1, 2),
+        ],
+        ids=["amplitudes", "matrix"],
+    )
+    def test_n_that_is_not_the_body_count(self, capsys, tmp_path, doc, said, held):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "invariant", "--state", str(path))
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        got = json.loads(err)
+        assert got["error"] == "BadStateName"
+        assert "'n' is %d, but the body's qubit count is %d" % (said, held) in got["message"]
 
     def test_object_entry_names_the_fault(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -691,7 +708,7 @@ class TestAntiHermitianResidueInsideTolerance:
         assert got["purity"] == pytest.approx(frobenius_sq, abs=1e-13)
         if n == 2:
             raw = _document_matrix(doc)
-            hermitian = qstate.DensityMatrix(2, 0.5 * (raw + raw.conj().T))
+            hermitian = qstate.DensityMatrix(0.5 * (raw + raw.conj().T))
             assert got["concurrence"] == pytest.approx(measures.concurrence(hermitian), abs=1e-14)
 
 
@@ -719,7 +736,7 @@ class TestNegativeEigenvalueInsideTolerance:
         code, out, err = run(capsys, "measures", "--state", str(path))
         assert code == 0 and err == ""
         vals, vecs = np.linalg.eigh(raw)
-        clipped = qstate.DensityMatrix(2, (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
+        clipped = qstate.DensityMatrix((vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
         assert json.loads(out)["concurrence"] == pytest.approx(measures.concurrence(clipped), abs=1e-14)
         assert np.linalg.eigvalsh(cli.state_from_json(doc).matrix)[0] >= -TOLERANCES["psd"]
 
@@ -759,7 +776,7 @@ def _reader_edge_documents(n):
     docs = {}
     for name, psi in (("ghz", qstate.ghz_state(n)), ("random", qstate.random_pure(n, 30 + n))):
         for excess in (9.9e-10, -9.9e-10):
-            scaled = qstate.PureState(n, psi.amplitudes * np.sqrt(1.0 + excess))
+            scaled = qstate.PureState(psi.amplitudes * np.sqrt(1.0 + excess))
             docs["%s %+.1e" % (name, excess)] = cli.state_to_json(scaled)
     docs["eigenvalue"] = _ghz_with_eigenvalue(n, -0.99e-8)
     docs["antihermitian"] = _near_tolerance_document(n, 0.495e-8)
@@ -879,7 +896,8 @@ class TestSizeGuard:
         ids=["ghz", "w", "mixed", "matrix-document", "amplitudes-document"],
     )
     def test_huge_qubit_count_refused_in_process(self, capsys, tmp_path, spec, code, error):
-        # refused from n alone: no 2^n or 4^n integer is formed on the way
+        # no 2^n or 4^n integer is formed on the way: a named state is refused
+        # from n alone, a document by its empty body
         if isinstance(spec, dict):
             path = tmp_path / "huge.json"
             path.write_text(json.dumps(spec))

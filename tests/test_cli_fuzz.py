@@ -20,8 +20,10 @@ from stokesinv import cli, qstate  # noqa: E402
 
 
 def mostly(valid, malformed):
-    """`valid` about 9 draws in 10, `malformed` the rest."""
-    return st.integers(0, 9).flatmap(lambda k: valid if k else malformed)
+    """`valid` about 9 draws in 10, `malformed` the rest. The malformed branch
+    is the last of ten sampled values: Hypothesis favours the first, which
+    `st.integers(0, 9)` drew about 1 time in 7."""
+    return st.sampled_from(range(10)).flatmap(lambda k: valid if k < 9 else malformed)
 
 
 # Huge, negative, NaN, infinite, non-integer and zero values, and small ones
@@ -180,11 +182,15 @@ def test_valid_documents_are_accepted(files, capsys):
 
 def test_most_draws_reach_the_commands_work(files, monkeypatch):
     # the same derandomized draws as test_every_exit_is_clean, counted: a
-    # grammar that mostly draws refusals would leave the commands' work unfuzzed
-    codes, ops = [], []
+    # grammar that mostly draws refusals would leave the commands' work
+    # unfuzzed. A filter draw reaches parse_ops when it carries --ops and a
+    # --state that parses; over hypothesis seeds 0..19 the least such share
+    # was 0.45, and 0.51 with this grammar's `mostly`
+    codes, commands, ops = [], [], []
     main, parse_ops = cli.main, cli.parse_ops
 
     def counted_main(argv):
+        commands.append(argv[0] if argv else None)
         codes.append(main(argv))
         return codes[-1]
 
@@ -196,4 +202,4 @@ def test_most_draws_reach_the_commands_work(files, monkeypatch):
     monkeypatch.setattr(cli, "parse_ops", counted_parse_ops)
     test_every_exit_is_clean(files)
     assert codes.count(0) >= len(codes) / 2, collections.Counter(codes)
-    assert len(ops) >= 15, len(ops)
+    assert len(ops) >= commands.count("filter") / 3, (len(ops), commands.count("filter"))

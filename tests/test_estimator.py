@@ -107,10 +107,10 @@ class TestTomography:
             want = tomography_bruteforce(rho.matrix, n, shots, seed)
             assert np.array_equal(res.stokes_hat.values, want)
             assert res.invariant_hat == stokes.minkowski_invariant(
-                stokes.StokesTensor(n, want)
+                stokes.StokesTensor(want)
             )
             assert res.psd_ok == stokes.density_from_stokes(
-                stokes.StokesTensor(n, want)
+                stokes.StokesTensor(want)
             ).psd_ok
             inf = estimator.tomography_simulate(rho, 0, seed, infinite=True)
             want = tomography_bruteforce(rho.matrix, n, 0, seed, infinite=True)

@@ -336,9 +336,9 @@ class TestLocalUnitaryInvariance:
             rho = psi.to_density()
             us = [random_su2(1400 + 3 * seed + k) for k in range(3)]
             rot = slocc.apply_local_to_density(rho, slocc.LocalOperation(us))
-            rot = qstate.DensityMatrix(3, rot.matrix)
+            rot = qstate.DensityMatrix(rot.matrix)
             full = qstate.kron_all(us)
-            rot_psi = qstate.PureState(3, full @ psi.amplitudes)
+            rot_psi = qstate.PureState(full @ psi.amplitudes)
             s = stokes.stokes_tensor(rho)
             s_rot = stokes.stokes_tensor(rot)
             assert abs(

@@ -1,15 +1,17 @@
 """The package root binds its five modules and `__version__`, nothing else:
 every function is reached through the one module that defines it; every
 other package module uses each name it imports; every public name of a
-library module is reached by the package or the benchmark workloads; and
-every exception class is raised somewhere in the package."""
+library module is reached by the package or the benchmark workloads; every
+exception class is raised somewhere in the package; and each state type holds
+its array alone, reading its qubit count off it."""
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
 
-from stokesinv import cli
+from stokesinv import cli, qstate, stokes
 
 INIT = pathlib.Path(cli.__file__).with_name("__init__.py")
 MODULES = {"estimator", "measures", "qstate", "slocc", "stokes"}
@@ -208,3 +210,12 @@ def test_every_exception_class_is_raised():
     errors_path = INIT.with_name("errors.py")
     sources = [p.read_text() for p in INIT.parent.glob("*.py") if p != errors_path]
     assert _unraised(errors_path.read_text(), sources) == []
+
+
+@pytest.mark.parametrize(
+    "cls, array",
+    [(qstate.PureState, "amplitudes"), (qstate.DensityMatrix, "matrix"), (stokes.StokesTensor, "values")],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_each_state_type_takes_only_its_array(cls, array):
+    assert [f.name for f in dataclasses.fields(cls) if f.init] == [array]

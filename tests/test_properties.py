@@ -33,7 +33,7 @@ def indefinite_hermitian(draw):
     g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
     h = 0.5 * (g + g.conj().T)
     h[0, 0] -= np.linalg.norm(h) + 1.0
-    return qstate.DensityMatrix(n, h)
+    return qstate.DensityMatrix(h)
 
 
 @st.composite

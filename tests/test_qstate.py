@@ -7,9 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stokesinv import cli, qstate
+from stokesinv import cli, qstate, stokes
 from stokesinv.errors import (
-    BadRank,
     BadStateName,
     BadSubsystem,
     NonHermitianInput,
@@ -110,7 +109,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(7)
         a = qstate.random_mixed(1, 2, rng.integers(2**31))
         b = qstate.random_mixed(1, 2, rng.integers(2**31))
-        joint = qstate.DensityMatrix(2, np.kron(a.matrix, b.matrix))
+        joint = qstate.DensityMatrix(np.kron(a.matrix, b.matrix))
         assert np.max(np.abs(qstate.partial_trace(joint, [1]).matrix - a.matrix)) < 1e-12
         assert np.max(np.abs(qstate.partial_trace(joint, [2]).matrix - b.matrix)) < 1e-12
 
@@ -193,10 +192,37 @@ class TestNamedStates:
 
 class TestDensityMatrix:
     def test_psd_ok_reads_the_current_matrix(self):
-        rho = qstate.DensityMatrix(1, np.diag([1.5, -0.5]))
+        rho = qstate.DensityMatrix(np.diag([1.5, -0.5]))
         assert not rho.psd_ok
         rho.matrix = np.eye(2, dtype=complex) / 2
         assert rho.psd_ok
+
+
+# each type from the length of its array (a matrix's side), and the base
+# whose n-th power that length is: 2^n amplitudes, 2^n x 2^n, 4^n Stokes values
+_BUILD = {
+    "amplitudes": (lambda length: qstate.PureState(np.ones(length)), 2),
+    "matrix": (lambda length: qstate.DensityMatrix(np.eye(length)), 2),
+    "stokes": (lambda length: stokes.StokesTensor(np.ones(length)), 4),
+}
+
+
+class TestQubitCount:
+    """Each state type reads its qubit count off the array it holds."""
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("kind", sorted(_BUILD))
+    def test_read_off_the_array(self, kind, n):
+        build, base = _BUILD[kind]
+        assert build(base**n).n_qubits == n
+
+    @pytest.mark.parametrize("kind, length", [
+        ("amplitudes", 0), ("amplitudes", 3), ("amplitudes", 6),
+        ("matrix", 0), ("matrix", 3), ("matrix", 6), ("stokes", 8),
+    ])
+    def test_a_length_of_no_qubit_count_is_refused(self, kind, length):
+        with pytest.raises(BadStateName):
+            _BUILD[kind][0](length)
 
 
 class TestRandom:
@@ -215,7 +241,7 @@ class TestRandom:
         assert rho.trace == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_rank(self):
-        with pytest.raises(BadRank):
+        with pytest.raises(OutOfRange, match=r"rank 5 not in 1\.\.4"):
             qstate.random_mixed(2, 5, 0)
 
     @pytest.mark.parametrize("make", [
