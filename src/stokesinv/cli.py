@@ -222,7 +222,13 @@ def cmd_measures(args):
         doc = measures.ckw_report(state)
     else:
         doc = dataclasses.asdict(measures.measure_report(state))
-    _emit(doc, args, csv_rows=sorted(doc.items()))
+    rows = []
+    for key, value in sorted(doc.items()):
+        if isinstance(value, list):  # one row per qubit, where the list's row stood
+            rows += [("%s_%d" % (key, k), v) for k, v in enumerate(value, 1)]
+        else:
+            rows.append((key, value))
+    _emit(doc, args, csv_rows=rows)
 
 
 def cmd_filter(args):

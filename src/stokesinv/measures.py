@@ -1,6 +1,7 @@
 """Entanglement and purity measures, through two reports: `measure_report`
 (purity, linearized entropy, per-qubit squared polarization, Stokes scalar;
-two-qubit concurrence, pure-state tangle and EoF) and `ckw_report` (a pure
+two-qubit concurrence, pure-state tangle and EoF), each read from rho along
+its own route with no n-qubit Stokes tensor, and `ckw_report` (a pure
 three-qubit state's pair invariants, concurrences, one-vs-rest tangles, and
 the package's one three-tangle, "tau_ABC", with the monogamy residuals)."""
 
@@ -12,17 +13,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, IdentityViolation, OutOfRange, check
-from .qstate import SIGMA, PureState, as_density, partial_trace, sqrt_psd
-from .stokes import StokesTensor, euclidean_purity, invariant_via_spinflip
-from .stokes import minkowski_invariant, stokes_tensor
+from .qstate import SIGMA, DensityMatrix, PureState, as_density, partial_trace, sqrt_psd
+from .stokes import invariant_via_spinflip, stokes_tensor
 
 # sigma_y x sigma_y, the two-qubit spin flip
 _FLIP2 = np.kron(SIGMA[2], SIGMA[2])
 
 
-def _polarization_sq(s: StokesTensor, k: int) -> float:
-    stride = 4 ** (s.n_qubits - k)
-    return sum(float(s.values[i * stride]) ** 2 for i in (1, 2, 3))
+def _polarization_sq(marginal: DensityMatrix) -> float:
+    """S_1^2 + S_2^2 + S_3^2 of a one-qubit state's Stokes vector."""
+    return sum(float(v) ** 2 for v in stokes_tensor(marginal).values[1:])
 
 
 def concurrence(rho) -> float:
@@ -70,16 +70,23 @@ class MeasureReport:
 def measure_report(state) -> MeasureReport:
     """All measures applicable to the given state in one record, from one
     density matrix: two-qubit states add the concurrence, and pure ones the
-    tangle and EoF. A pure three-qubit state's three-tangle is `ckw_report`'s."""
+    tangle and EoF. A pure three-qubit state's three-tangle is `ckw_report`'s.
+
+    Each number takes its own route from rho, none through the n-qubit Stokes
+    tensor: the purity is sum |rho_ij|^2, one pass; qubit k's squared
+    polarization comes from its one-qubit marginal's Stokes vector; the Stokes
+    scalar is `invariant_via_spinflip`. Like that function, the report assumes
+    Hermitian rho, for which sum |rho_ij|^2 = Tr rho^2."""
     rho = as_density(state)
     n = rho.n_qubits
-    s = stokes_tensor(rho)
-    purity = euclidean_purity(s)  # 2^-n sum S^2 = Tr rho^2, from the tensor at hand
+    purity = float(np.vdot(rho.matrix, rho.matrix).real)
     rep = MeasureReport(
         purity=purity,
         linearized_entropy=1.0 - purity,
-        per_qubit_polarization_sq=[_polarization_sq(s, k) for k in range(1, n + 1)],
-        stokes_scalar=minkowski_invariant(s),
+        per_qubit_polarization_sq=[
+            _polarization_sq(partial_trace(rho, [k])) for k in range(1, n + 1)
+        ],
+        stokes_scalar=invariant_via_spinflip(rho),
     )
     if n == 2:
         rep.concurrence = concurrence(rho)

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -296,6 +298,23 @@ class TestOptionSurface:
         code, out, err = run(capsys, *argv, "--state", "bell:phi+", "--seed", "3")
         assert (code, err) == (0, "")
         assert json.loads(out)["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "spec, n", [("bell:phi+", 2), ("mixed:max:3", 3), ("basis:" + "01" * 5, 10)]
+    )
+    def test_measures_csv_has_one_value_per_row(self, capsys, spec, n):
+        code, out, err = run(capsys, "measures", "--state", spec, "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert all(len(row) == 2 for row in rows)
+        per_qubit = ["per_qubit_polarization_sq_%d" % k for k in range(1, n + 1)]
+        assert [key for key, _ in rows] == [
+            "concurrence", "eof", "linearized_entropy", *per_qubit,
+            "purity", "stokes_scalar", "tangle",
+        ]
+        doc = json.loads(run(capsys, "measures", "--state", spec)[1])
+        got = dict(rows)
+        assert [float(got[k]) for k in per_qubit] == doc["per_qubit_polarization_sq"]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_measures_prints_no_three_tangle_key(self, capsys, fmt):
@@ -906,13 +925,25 @@ class TestSizeGuard:
         assert got == code and out == ""
         assert json.loads(err)["error"] == error
 
-    @pytest.mark.parametrize("command", ["stokes", "invariant", "measures"])
-    def test_allocation_failure_is_out_of_range(self, command):
-        # the 1 GiB density matrix fits under the limit, the next 1 GiB does not
-        proc = _run_limited(command, "--state", "ghz:13")
+    @pytest.mark.parametrize(
+        "command, spec",
+        [("stokes", "ghz:13"), ("invariant", "ghz:13"), ("measures", "ghz:14")],
+        ids=["stokes", "invariant", "measures"],
+    )
+    def test_allocation_failure_is_out_of_range(self, command, spec):
+        # ghz:13's 1 GiB density matrix fits under the limit, the Stokes
+        # tensor's next 1 GiB does not; ghz:14's 4 GiB density matrix does not fit
+        proc = _run_limited(command, "--state", spec)
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.count("\n") == 1
         assert json.loads(proc.stderr)["error"] == "OutOfRange"
+
+    def test_measures_fits_under_the_limit(self):
+        # the 1 GiB density matrix and the spin-flip route's 0.5 GiB product;
+        # (sigma_y)^x13 is antisymmetric, so a pure state's Stokes scalar is 0
+        proc = _run_limited("measures", "--state", "ghz:13")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["stokes_scalar"] == 0.0
 
     def test_tomography_refused_before_allocation(self):
         # 292 GiB (24*6^13 bytes) of probability tensors, refused before the

@@ -5,6 +5,7 @@ from stokesinv import measures, qstate, slocc, stokes
 from stokesinv.errors import DimensionMismatch, OutOfRange
 
 from oracles import concurrence_bruteforce, random_su2, three_tangle_hyperdeterminant
+from test_stokes import _traced_peak
 
 
 def w_pair():
@@ -262,19 +263,20 @@ class TestCkwReport:
 
 
 class TestSharedIntermediates:
-    """Reports that reuse one Stokes tensor or one set of pair concurrences
-    give bit for bit the numbers of the standalone functions."""
+    """Reports give bit for bit the numbers of the standalone routes they
+    take, and reuse one density matrix or one concurrence."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_measure_report_matches_standalone(self, n):
         rho = qstate.random_mixed(n, 2, 1500 + n)
         rep = measures.measure_report(rho)
-        s = stokes.stokes_tensor(rho)
-        assert rep.per_qubit_polarization_sq == [
-            sum(s.values[i * 4 ** (n - k)] ** 2 for i in (1, 2, 3)) for k in range(1, n + 1)
-        ]
-        assert rep.purity == stokes.euclidean_purity(s)
-        assert rep.stokes_scalar == stokes.minkowski_invariant(s)
+        pol = []
+        for k in range(1, n + 1):
+            v = stokes.stokes_tensor(qstate.partial_trace(rho, [k])).values
+            pol.append(float(v[1]) ** 2 + float(v[2]) ** 2 + float(v[3]) ** 2)
+        assert rep.per_qubit_polarization_sq == pol
+        assert rep.purity == float(np.vdot(rho.matrix, rho.matrix).real)
+        assert rep.stokes_scalar == stokes.invariant_via_spinflip(rho)
 
     @pytest.mark.parametrize("spec", ["phi+", "psi-", "random"])
     def test_pure_two_qubit_report_takes_one_concurrence(self, spec, monkeypatch):
@@ -327,6 +329,51 @@ class TestWithoutTheMaterialisedRoutes:
         rep = measures.measure_report(rho)
         assert rep.purity == pytest.approx(purity, abs=1e-13)
         assert rep.linearized_entropy == 1.0 - rep.purity
+
+
+class TestWithoutTheStokesTensor:
+    """`measure_report` reads each number from rho by its own route, so the
+    n-qubit Stokes tensor is an independent check of all of them."""
+
+    @pytest.mark.parametrize(
+        "n, rank", [(n, r) for n in range(1, 9) for r in range(1, 5) if r <= 2**n]
+    )
+    def test_agrees_with_the_stokes_tensor(self, n, rank):
+        rho = qstate.random_mixed(n, rank, 1900 + 10 * n + rank)
+        rep = measures.measure_report(rho)
+        s = stokes.stokes_tensor(rho)
+        legs = s.values.reshape((4,) * n)
+        pol = [
+            float(np.sum(legs[(0,) * k + (slice(1, 4),) + (0,) * (n - k - 1)] ** 2))
+            for k in range(n)
+        ]
+        assert rep.purity == pytest.approx(stokes.euclidean_purity(s), abs=1e-13)
+        assert rep.stokes_scalar == pytest.approx(stokes.minkowski_invariant(s), abs=1e-13)
+        assert rep.per_qubit_polarization_sq == pytest.approx(pol, abs=1e-13)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_only_one_qubit_stokes_tensors(self, n, monkeypatch):
+        stokes_tensor = measures.stokes_tensor
+        sizes = []
+
+        def counted(rho):
+            sizes.append(rho.n_qubits)
+            return stokes_tensor(rho)
+
+        def refuse(n):
+            raise AssertionError("a 4^n sign vector was built")
+
+        monkeypatch.setattr(measures, "stokes_tensor", counted)
+        monkeypatch.setattr(stokes, "_sign_vector", refuse)
+        measures.measure_report(qstate.random_mixed(n, 3, 2000 + n))
+        assert sizes == [1] * n
+
+    def test_peak_below_the_density_matrix(self):
+        n = 8
+        rho = qstate.random_mixed(n, 2, 428)
+        # the spin-flip route's half-matrix product, 8*4^n bytes; a Stokes
+        # tensor and its complex pass buffers would take 2 * 16*4^n
+        assert _traced_peak(measures.measure_report, rho) <= 0.6 * 16 * 4**n
 
 
 class TestLocalUnitaryInvariance:
