@@ -109,7 +109,8 @@ def tomography_simulate(
     probabilities stand in for the frequencies. The complex probability
     tensor and its real copy by setting take 24 * 6^n bytes; a request that
     would exceed physical memory is refused before any allocation, and so is
-    a state whose trace leaves no outcome probabilities to normalise.
+    a state whose trace is at most the "annihilation" floor. So is one whose
+    outcome probabilities, once snapped, leave a setting's total there.
     """
     check_shot_range(shots_per_setting, infinite)
     n = rho.n_qubits
@@ -127,7 +128,9 @@ def tomography_simulate(
     # clips negatives, and snaps the ~1e-32 left where exact zeros cancel: a
     # binomial draw at p > 0 consumes random numbers that one at p = 0 does not
     freqs[freqs < TOLERANCES["zero_probability"]] = 0.0
-    freqs /= freqs.sum(axis=1, keepdims=True)
+    totals = freqs.sum(axis=1, keepdims=True)
+    check("annihilation", totals.min(), EnsembleAnnihilated, "least outcome total of a setting")
+    freqs /= totals
     if not infinite:
         root = int(seed) & (2**63 - 1)
         for j, p in enumerate(freqs):

@@ -13,11 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, IdentityViolation, OutOfRange, check
-from .qstate import SIGMA, DensityMatrix, PureState, as_density, partial_trace, sqrt_psd
-from .stokes import invariant_via_spinflip, stokes_tensor
-
-# sigma_y x sigma_y, the two-qubit spin flip
-_FLIP2 = np.kron(SIGMA[2], SIGMA[2])
+from .qstate import DensityMatrix, PureState, as_density, partial_trace, sqrt_psd
+from .stokes import _parity_signs, invariant_via_spinflip, stokes_tensor
 
 
 def _polarization_sq(marginal: DensityMatrix) -> float:
@@ -31,11 +28,12 @@ def concurrence(rho) -> float:
     The spin-flip spectrum is taken as the singular values of
     sqrt(rho) (sigma_y x sigma_y) conj(sqrt(rho)), whose squares are the
     eigenvalues of the Hermitian product sqrt(rho) rho_tilde sqrt(rho);
-    the SVD keeps full precision for the near-zero values."""
+    the SVD keeps full precision for the near-zero values. sigma_y x sigma_y
+    acts as `spin_flip`'s signed index reversal, here on the columns."""
     if rho.n_qubits != 2:
         raise DimensionMismatch("concurrence needs 2 qubits, got %d" % rho.n_qubits)
     root = sqrt_psd(as_density(rho).matrix)
-    lam = np.linalg.svd(root @ _FLIP2 @ root.conj(), compute_uv=False)
+    lam = np.linalg.svd((root[:, ::-1] * -_parity_signs(2)) @ root.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

@@ -43,17 +43,6 @@ def _hold_freed_blocks() -> bool:
 
 _hold_freed_blocks()
 
-SIGMA = np.array(
-    [
-        [[1, 0], [0, 1]],
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=complex,
-)
-"""Identity and the three Pauli matrices, indexed 0..3."""
-
 
 def _hermitian_part(m: np.ndarray, name: str) -> np.ndarray:
     """(m + m^dagger) / 2, once max |m - m^dagger| passes tolerance `name`."""

@@ -9,13 +9,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadStateName, DimensionMismatch, NonHermitianInput, check
-from .qstate import SIGMA, DensityMatrix, _log2, as_density, kron_all
+from .qstate import DensityMatrix, _log2, as_density, kron_all
+
+# Identity and the three Pauli matrices, indexed 0..3.
+_SIGMA = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
+)
 
 # Single-qubit maps between a flattened 2x2 matrix and its 4 Stokes components.
 # _FWD[i, 2a+b] = sigma_i[b, a]  so that S_i = sum_ab rho[a,b] sigma_i[b,a]
-_FWD = SIGMA.transpose(0, 2, 1).reshape(4, 4)
+_FWD = _SIGMA.transpose(0, 2, 1).reshape(4, 4)
 # _BWD[2a+b, i] = sigma_i[a, b] / 2  realizing rho = (1/2) sum_i S_i sigma_i
-_BWD = SIGMA.reshape(4, 4).T / 2.0
+_BWD = _SIGMA.reshape(4, 4).T / 2.0
 
 
 def _pair_map(m: np.ndarray) -> np.ndarray:

@@ -77,6 +77,14 @@ def concurrence_bruteforce(rho):
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
+def concurrence_flip2_reference(root):
+    """Concurrence from a two-qubit state's PSD square root with the spin flip
+    as the dense matrix sigma_y x sigma_y: the singular values of
+    root (sigma_y x sigma_y) conj(root), the largest less the other three."""
+    lam = np.linalg.svd(root @ np.kron(SY, SY) @ root.conj(), compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
 def lorentz_bruteforce(a):
     l = np.empty((4, 4))
     for mu in range(4):

@@ -657,6 +657,16 @@ class TestMalformedInput:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "EnsembleAnnihilated"
 
+    @pytest.mark.parametrize("shots", ["1000", "0"])
+    def test_tomography_with_no_outcome_total(self, capsys, tmp_path, monkeypatch, shots):
+        monkeypatch.setitem(TOLERANCES, "annihilation", 1e-20)
+        path = tmp_path / "faint.json"
+        path.write_text(json.dumps(cli.state_to_json(qstate.DensityMatrix(np.eye(4) * 1e-17))))
+        code, out, err = run(capsys, "tomo", "--state", str(path), "--shots", shots)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "EnsembleAnnihilated"
+
     def test_file_prefix_is_not_a_state_spec(self, capsys, tmp_path):
         path = tmp_path / "w3.json"
         path.write_text(json.dumps(cli.state_to_json(qstate.w_state(3))))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stokesinv import estimator, qstate, stokes
-from stokesinv.errors import DimensionMismatch, OutOfRange
+from stokesinv.errors import TOLERANCES, DimensionMismatch, EnsembleAnnihilated, OutOfRange
 
 from oracles import EIGBASIS, tomography_bruteforce
 
@@ -184,6 +184,15 @@ class TestTomography:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * 24 * 6**n
+
+    @pytest.mark.parametrize("shots, infinite", [(0, True), (1000, False)])
+    def test_settings_with_no_outcome_total_refused(self, monkeypatch, shots, infinite):
+        # the trace 4e-17 clears a lowered floor, but each outcome probability
+        # 1e-17 snaps to 0, so no setting has a total to normalise by
+        monkeypatch.setitem(TOLERANCES, "annihilation", 1e-20)
+        rho = qstate.DensityMatrix(np.eye(4) * 1e-17)
+        with pytest.raises(EnsembleAnnihilated, match="least outcome total"):
+            estimator.tomography_simulate(rho, shots, 0, infinite=infinite)
 
     def test_zero_shots_rejected(self):
         with pytest.raises(OutOfRange):

@@ -4,7 +4,12 @@ import pytest
 from stokesinv import measures, qstate, slocc, stokes
 from stokesinv.errors import DimensionMismatch, OutOfRange
 
-from oracles import concurrence_bruteforce, random_su2, three_tangle_hyperdeterminant
+from oracles import (
+    concurrence_bruteforce,
+    concurrence_flip2_reference,
+    random_su2,
+    three_tangle_hyperdeterminant,
+)
 from test_stokes import _traced_peak
 
 
@@ -68,6 +73,16 @@ class TestConcurrence:
             assert measures.concurrence(rho) == pytest.approx(
                 concurrence_bruteforce(rho.matrix), abs=5e-8
             )
+
+    def test_equals_the_dense_spin_flip_route_bit_for_bit(self):
+        # sigma_y x sigma_y as a signed column reversal, not a 4x4 product
+        states = [qstate.random_mixed(2, 1 + seed % 4, 5000 + seed) for seed in range(1000)]
+        for psi in (qstate.w_state(3), qstate.ghz_state(3)):
+            rho = psi.to_density()
+            states += [qstate.partial_trace(rho, pair) for pair in ([1, 2], [1, 3], [2, 3])]
+        for rho in states:
+            want = concurrence_flip2_reference(qstate.sqrt_psd(rho.matrix))
+            assert measures.concurrence(rho) == want
 
     def test_spin_flip_symmetric(self):
         for seed in range(20):

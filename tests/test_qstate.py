@@ -16,7 +16,7 @@ from stokesinv.errors import (
     OutOfRange,
 )
 
-from oracles import partial_trace_bruteforce, random_mixed_outer_reference, random_su2
+from oracles import PAULIS, partial_trace_bruteforce, random_mixed_outer_reference, random_su2
 
 I2 = np.eye(2, dtype=complex)
 
@@ -31,12 +31,12 @@ class TestKron:
 
     def test_sigma_z_left(self):
         assert np.allclose(
-            qstate.kron_all([qstate.SIGMA[3], I2]), np.diag([1, 1, -1, -1])
+            qstate.kron_all([PAULIS[3], I2]), np.diag([1, 1, -1, -1])
         )
 
     def test_bell_xx_expectation(self):
         # frozen from the explicit 4x4 trace: Tr(rho_Bell sigma_x x sigma_x) = 1
-        xx = qstate.kron_all([qstate.SIGMA[1], qstate.SIGMA[1]])
+        xx = qstate.kron_all([PAULIS[1], PAULIS[1]])
         assert np.trace(bell_rho() @ xx).real == pytest.approx(1.0, abs=1e-12)
 
     def test_associativity(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stokesinv import qstate, slocc, stokes
+from stokesinv import measures, qstate, slocc, stokes
 from stokesinv.errors import (
     DimensionMismatch,
     NotUnimodular,
@@ -249,3 +249,24 @@ class TestFilterState:
                 continue
             kept += 1
             assert rep.invariant_after_renorm >= rep.invariant_before - 1e-12
+
+
+class TestTwoQubitCovariance:
+    """The paper's purification claim at n = 2: a det-1 local filter leaves the
+    concurrence and the spin-flip invariant of the unnormalised state as they
+    were, so renormalising by the attenuation t is the filter's whole effect."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_concurrence_and_invariant_survive_a_det1_filter(self, rank):
+        for seed in range(50):
+            rho = qstate.random_mixed(2, rank, 7000 + 100 * rank + seed)
+            key = 2 * (100 * rank + seed)
+            op = slocc.LocalOperation([qstate.random_sl2c(key), qstate.random_sl2c(key + 1)])
+            out = slocc.apply_local_to_density(rho, op)
+            t = out.trace
+            scale = max(1.0, t)
+            assert abs(measures.concurrence(out) - measures.concurrence(rho)) <= 1e-12 * scale
+            s2 = stokes.invariant_via_spinflip(out)
+            assert abs(s2 - stokes.invariant_via_spinflip(rho)) <= 1e-12 * scale**2
+            renorm = slocc.filter_state(rho, op).invariant_after_renorm
+            assert abs(renorm - s2 / t**2) <= 1e-12 * (scale / t) ** 2
