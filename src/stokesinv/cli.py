@@ -4,6 +4,7 @@ measures, filtering and estimator runs, with JSON (default) or CSV output."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 
 from . import estimator, measures, qstate, slocc, stokes
-from .errors import BadStateName, BadSubsystem, DimensionMismatch, OutOfRange, ParseError
+from .errors import BadStateName, BadSubsystem, OutOfRange, ParseError
 from .errors import StokesInvError, check
 from .qstate import DensityMatrix, PureState
 
@@ -152,40 +153,40 @@ def parse_ops(spec: str, n_qubits: int) -> slocc.LocalOperation:
     doc = _read_json(spec, "ops")
     if not isinstance(doc, dict) or not isinstance(doc.get("ops"), list):
         raise ParseError("ops document must be an object with an 'ops' list")
-    op = slocc.LocalOperation(
-        [_complex_entries(o, 2, "LocalOperation") for o in doc["ops"]]
-    )
-    if len(op.ops) != n_qubits:
-        raise DimensionMismatch("%d ops for %d qubits" % (len(op.ops), n_qubits))
-    return op
+    return slocc.LocalOperation([_complex_entries(o, 2, "LocalOperation") for o in doc["ops"]])
 
 
 def _labels(n: int):
     return ["S_" + "".join(d) for d in itertools.product("0123", repeat=n)]
 
 
-def _write(text: str, out) -> None:
-    """`text` to the --out path, or to stdout without one."""
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ParseError("cannot write %s: %s" % (out, exc.strerror)) from exc
+def _emit(doc, args, csv_rows=None) -> None:
+    """`doc` as JSON, or as key,value lines under --format csv: `csv_rows`, else
+    `doc`'s sorted items, a list giving one `<key>_<k>` row per entry. It goes
+    to the --out path, or to stdout without one; a failed write is ParseError."""
+    if getattr(args, "format", "json") == "csv":  # `state` declares no --format
+        if csv_rows is None:
+            csv_rows = []
+            for key, value in sorted(doc.items()):
+                if isinstance(value, list):  # one row per entry, where the list's row stood
+                    csv_rows += [("%s_%d" % (key, k), v) for k, v in enumerate(value, 1)]
+                else:
+                    csv_rows.append((key, value))
+        text = "".join("%s,%s\n" % (k, v) for k, v in csv_rows)
     else:
-        sys.stdout.write(text)
-
-
-def _json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(doc, args, csv_rows):
-    """`doc` as JSON, or its `csv_rows` as key,value lines under --format csv."""
-    if args.format == "csv":
-        _write("".join("%s,%s\n" % (k, v) for k, v in csv_rows), args.out)
-    else:
-        _write(_json(doc), args.out)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write(text)
+            fh.flush()
+    except OSError as exc:
+        if not args.out and sys.stdout is sys.__stdout__:  # not a capture put in its place
+            # what stdout still buffers goes to the null device at exit, so the
+            # interpreter's own flush neither prints a second error nor sets the code
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise ParseError("cannot write %s: %s" % (args.out or "stdout", exc.strerror)) from exc
 
 
 def cmd_stokes(args):
@@ -197,15 +198,9 @@ def cmd_stokes(args):
 
 
 def cmd_invariant(args):
-    state = parse_state(args.state)
-    if args.pair:  # read before rho is built, so a malformed pair costs no 4^n matrix
-        try:
-            i, j = (int(x) for x in args.pair.split(","))
-        except ValueError as exc:
-            raise ParseError("bad --pair %r" % args.pair) from exc
-    rho = qstate.as_density(state)
+    rho = qstate.as_density(parse_state(args.state))
     if args.pair:
-        rho = qstate.partial_trace(rho, [i, j])
+        rho = qstate.partial_trace(rho, args.pair)
     s = stokes.stokes_tensor(rho)
     doc = {
         "n": rho.n_qubits,
@@ -213,7 +208,7 @@ def cmd_invariant(args):
         "invariant_spinflip": stokes.invariant_via_spinflip(rho),
         "purity": stokes.euclidean_purity(s),
     }
-    _emit(doc, args, csv_rows=sorted(doc.items()))
+    _emit(doc, args)
 
 
 def cmd_measures(args):
@@ -222,20 +217,13 @@ def cmd_measures(args):
         doc = measures.ckw_report(state)
     else:
         doc = dataclasses.asdict(measures.measure_report(state))
-    rows = []
-    for key, value in sorted(doc.items()):
-        if isinstance(value, list):  # one row per qubit, where the list's row stood
-            rows += [("%s_%d" % (key, k), v) for k, v in enumerate(value, 1)]
-        else:
-            rows.append((key, value))
-    _emit(doc, args, csv_rows=rows)
+    _emit(doc, args)
 
 
 def cmd_filter(args):
     state = parse_state(args.state)
     op = parse_ops(args.ops, state.n_qubits)
-    doc = dataclasses.asdict(slocc.filter_state(state, op))
-    _emit(doc, args, csv_rows=sorted(doc.items()))
+    _emit(dataclasses.asdict(slocc.filter_state(state, op)), args)
 
 
 def cmd_swapnet(args):
@@ -244,8 +232,7 @@ def cmd_swapnet(args):
     estimator.check_shot_range(args.shots, infinite=False)  # both before the 4^n rho
     a = qstate.as_density(state)
     b = stokes.spin_flip(a) if b is None else b
-    doc = dataclasses.asdict(estimator.swap_network_estimate(a, b, args.shots, args.seed))
-    _emit(doc, args, csv_rows=sorted(doc.items()))
+    _emit(dataclasses.asdict(estimator.swap_network_estimate(a, b, args.shots, args.seed)), args)
 
 
 def cmd_tomo(args):
@@ -266,7 +253,17 @@ def cmd_state(args):
     state = parse_state(args.state)
     if args.as_density:
         state = qstate.as_density(state)
-    _write(_json(state_to_json(state)), args.out)
+    _emit(state_to_json(state), args)
+
+
+def _pair(text: str) -> tuple:
+    """The two qubit indices of `--pair i,j`, read with the other options, so a
+    malformed pair is refused before any state is built."""
+    try:
+        i, j = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected two qubit indices i,j, got %r" % text) from None
+    return i, j
 
 
 class _Parser(argparse.ArgumentParser):
@@ -299,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("stokes", cmd_stokes, "print the full Stokes tensor")
     sp = command("invariant", cmd_invariant, "Minkowskian invariant and purity")
-    sp.add_argument("--pair", default=None, help="reduce to qubits i,j first")
+    sp.add_argument("--pair", type=_pair, default=None, help="reduce to qubits i,j first")
     command("measures", cmd_measures, "entanglement and purity measures")
     sp = command("filter", cmd_filter, "apply a det-1 local filter")
     sp.add_argument("--ops", required=True, help="boost:K:a2=V or ops JSON file")

@@ -144,11 +144,7 @@ def euclidean_purity(s: StokesTensor) -> float:
 
 def _parity_signs(n: int) -> np.ndarray:
     """(-1)^popcount over the 2^n row (or column) indices, (1, -1)^xn."""
-    index = np.arange(2**n)
-    parity = np.zeros_like(index)
-    for bit in range(n):
-        parity ^= index >> bit
-    return 1.0 - 2.0 * (parity & 1)
+    return kron_all([np.array([1.0, -1.0])] * n)
 
 
 def spin_flip(rho) -> DensityMatrix:

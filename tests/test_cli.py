@@ -391,6 +391,7 @@ def test_each_rule_has_one_class_on_every_route(capsys, tmp_path, argv, error):
     [
         ["invariant", "--pair", "x"],
         ["invariant", "--pair", "1,2,3"],
+        ["invariant", "--pair", ""],
         ["swapnet", "--state-b", "nope"],
     ],
     ids=" ".join,
@@ -414,6 +415,69 @@ def test_swapnet_refuses_its_shot_count_before_rho_is_built(capsys, monkeypatch)
     code, out, err = run(capsys, "swapnet", "--state", "ghz:12", "--shots", "0")
     assert (code, out, err.count("\n")) == (3, "", 1)
     assert json.loads(err)["error"] == "OutOfRange"
+
+
+def _run_into(stdout, *argv):
+    """The CLI in a child process whose stdout is the file descriptor `stdout`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "stokesinv.cli", *argv],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+    )
+
+
+class TestFailedWrite:
+    """A write that fails, to stdout as to --out, is one ParseError line and
+    exit 2; the interpreter's exit-time flush adds nothing. ghz:7's 0.5 MB
+    document overruns the pipe's and stdout's buffers."""
+
+    def _assert_refused(self, proc, dest):
+        assert proc.returncode == 2 and proc.stderr.count("\n") == 1
+        err = json.loads(proc.stderr)
+        assert (err["error"], err["code"]) == ("ParseError", 2)
+        assert err["message"].startswith("cannot write %s: " % dest)
+
+    def test_stdout_pipe_with_its_reader_closed(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _run_into(write, "stokes", "--state", "ghz:7")
+        finally:
+            os.close(write)
+        self._assert_refused(proc, "stdout")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("spec", ["ghz:7", "bell:phi+"])  # beyond and within the buffer
+    def test_stdout_on_a_full_device(self, spec):
+        with open("/dev/full", "w") as full:
+            proc = _run_into(full.fileno(), "stokes", "--state", spec)
+        self._assert_refused(proc, "stdout")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_on_a_full_device(self):
+        proc = _run_into(subprocess.DEVNULL, "state", "--state", "ghz:7", "--out", "/dev/full")
+        self._assert_refused(proc, "/dev/full")
+
+    def test_a_replaced_stdout_keeps_its_descriptor(self, capsys, monkeypatch):
+        # a stream standing in for stdout, as a capture does, gets the same
+        # refusal, and file descriptor 1 under it is left as it was
+        class Failing(io.StringIO):
+            def flush(self):
+                raise OSError(28, "No space left on device")
+
+        before = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", Failing())
+        code = cli.main(["stokes", "--state", "bell:phi+"])
+        after = os.fstat(1)
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert (code, json.loads(err)["message"]) == (2, "cannot write stdout: No space left on device")
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
 class TestMalformedInput:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -166,6 +167,19 @@ class TestTomography:
         mixed = qstate.random_mixed(2, 3, 13)
         ratio = self._mean_abs_error(mixed, 4000) / self._mean_abs_error(mixed, 1000)
         assert 0.5 * 0.7 <= ratio <= 0.5 * 1.3
+
+    @pytest.mark.parametrize("n, want", [(2, 0.2675), (3, 0.10125), (4, 0.094097)])
+    def test_plug_in_bias_on_the_maximally_mixed_state(self, n, want):
+        # every S_i, i != 0, is 0, and a weight-w component pools 100 * 3^(n-w)
+        # +-1 outcomes, so E[S_i hat^2] = 1 / (100 * 3^(n-w)) over C(n,w) 3^w
+        # components: the bias the unbiased estimate must remove
+        closed = 2.0**-n * (
+            1 + sum(math.comb(n, w) * (-1) ** w * 3**w / (100 * 3 ** (n - w)) for w in range(1, n + 1))
+        )
+        assert closed == pytest.approx(want, abs=5e-6)
+        state = qstate.maximally_mixed(n)
+        hats = [estimator.tomography_simulate(state, 100, seed).invariant_hat for seed in range(400)]
+        assert abs(np.mean(hats) - closed) <= 3 * np.std(hats, ddof=1) / np.sqrt(len(hats))
 
     def test_shot_count_beyond_the_sampler(self):
         with pytest.raises(OutOfRange):

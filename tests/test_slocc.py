@@ -212,6 +212,16 @@ class TestFilterState:
                 slocc.LocalOperation([0.5 * np.eye(2, dtype=complex)]),
             )
 
+    def test_operator_count_refused_before_any_4n_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("4^n work before the operator count was checked")
+
+        monkeypatch.setattr(slocc, "stokes_tensor", refuse)
+        monkeypatch.setattr(slocc, "as_density", refuse)
+        op = slocc.LocalOperation([np.eye(2)] * 9)
+        with pytest.raises(DimensionMismatch):
+            slocc.filter_state(qstate.ghz_state(10), op)
+
     @pytest.mark.parametrize("a2", [1e-300, 1e-320])
     def test_attenuation_beyond_float_range(self, a2):
         # 1e-300: the attenuation 5e299 is finite but its square is not;
