@@ -198,9 +198,8 @@ def cmd_stokes(args):
 
 
 def cmd_invariant(args):
-    rho = qstate.as_density(parse_state(args.state))
-    if args.pair:
-        rho = qstate.partial_trace(rho, args.pair)
+    state = parse_state(args.state)  # partial_trace reads the pair before rho
+    rho = qstate.partial_trace(state, args.pair) if args.pair else qstate.as_density(state)
     s = stokes.stokes_tensor(rho)
     doc = {
         "n": rho.n_qubits,
@@ -227,11 +226,12 @@ def cmd_filter(args):
 
 
 def cmd_swapnet(args):
-    state = parse_state(args.state)
+    a = parse_state(args.state)
     b = None if args.state_b == "flip" else parse_state(args.state_b)
     estimator.check_shot_range(args.shots, infinite=False)  # both before the 4^n rho
-    a = qstate.as_density(state)
-    b = stokes.spin_flip(a) if b is None else b
+    if b is None:  # spin_flip's rho is the overlap's too; hs_overlap compares sizes first
+        a = qstate.as_density(a)
+        b = stokes.spin_flip(a)
     _emit(dataclasses.asdict(estimator.swap_network_estimate(a, b, args.shots, args.seed)), args)
 
 

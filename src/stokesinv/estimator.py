@@ -8,11 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TOLERANCES, EnsembleAnnihilated, OutOfRange, check
-from .qstate import _refuse_beyond_memory, as_density, kron_all
+from .qstate import _refuse_beyond_memory, as_density
 from .stokes import (
     StokesTensor,
     _apply_legs,
     _block_legs,
+    _kron_power,
     _pair_legs,
     _pair_map,
     _to_pair_tensor,
@@ -138,9 +139,8 @@ def tomography_simulate(
             p[:] = rng.multinomial(shots_per_setting, p)
     interleaved = [x for k in range(n) for x in (k, n + k)]
     t = freqs.reshape((3,) * n + (2,) * n).transpose(interleaved)
-    pooled = kron_all([np.array([3.0, 1.0, 1.0, 1.0])] * n)
-    legs = _pair_legs([_DIGITS] * n)
-    values = _apply_legs(t, legs) / (max(shots_per_setting, 1) * pooled)
+    pooled = _kron_power((3.0, 1.0, 1.0, 1.0), n)
+    values = _apply_legs(t, _pair_legs([_DIGITS] * n)) / (max(shots_per_setting, 1) * pooled)
     values[0] = 1.0
     stokes_hat = StokesTensor(values)
     return TomographyResult(

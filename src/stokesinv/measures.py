@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IdentityViolation, OutOfRange, check
 from .qstate import DensityMatrix, PureState, as_density, partial_trace, sqrt_psd
-from .stokes import _parity_signs, invariant_via_spinflip, stokes_tensor
+from .stokes import _kron_power, invariant_via_spinflip, stokes_tensor
 
 
 def _polarization_sq(marginal: DensityMatrix) -> float:
@@ -33,7 +33,8 @@ def concurrence(rho) -> float:
     if rho.n_qubits != 2:
         raise DimensionMismatch("concurrence needs 2 qubits, got %d" % rho.n_qubits)
     root = sqrt_psd(as_density(rho).matrix)
-    lam = np.linalg.svd((root[:, ::-1] * -_parity_signs(2)) @ root.conj(), compute_uv=False)
+    flip = root[:, ::-1] * -_kron_power((1.0, -1.0), 2)
+    lam = np.linalg.svd(flip @ root.conj(), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 

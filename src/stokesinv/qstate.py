@@ -145,12 +145,13 @@ def as_density(state) -> DensityMatrix:
     return state
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every qubit not listed in `keep`: distinct 1-based indices."""
+def partial_trace(rho, keep) -> DensityMatrix:
+    """Trace out every qubit not in `keep`, distinct 1-based indices read before rho is built."""
     n = rho.n_qubits
     keep = sorted(keep)
     if not keep or keep[0] < 1 or keep[-1] > n or len(set(keep)) < len(keep):
         raise BadSubsystem("keep=%r invalid for %d qubits" % (keep, n))
+    rho = as_density(rho)
     t = rho.matrix.reshape((2,) * (2 * n))
     # axes: qubit k+1's row is k, its column n+k, or k again when traced out
     col = [n + k if k + 1 in keep else k for k in range(n)]

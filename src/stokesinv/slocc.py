@@ -92,11 +92,11 @@ def filter_state(rho, op: LocalOperation) -> FilterReport:
     """Apply a det-1 local filter and report how renormalization rescales
     the invariant. The invariant itself is unchanged before renormalization,
     so the whole effect is the factor 1/attenuation^2."""
-    if len(op.ops) != rho.n_qubits:  # before any 4^n work
+    if len(op.ops) != rho.n_qubits:  # this and det 1 before any 4^n work
         raise DimensionMismatch("%d local operators for %d qubits" % (len(op.ops), rho.n_qubits))
-    rho = as_density(rho)
     for o in op.ops:
         _check_unimodular(o)
+    rho = as_density(rho)
     before = minkowski_invariant(stokes_tensor(rho))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow -> attenuation check
         attenuation = apply_local_to_density(rho, op).trace

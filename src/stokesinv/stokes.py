@@ -55,11 +55,14 @@ class StokesTensor:
         return _log2(self.values.size) // 2
 
 
-@functools.lru_cache(maxsize=4)  # 4^n floats each: keep the last few n only
-def _sign_vector(n: int) -> np.ndarray:
-    """(-1)^weight over the flattened multi-index, as a tensor-power of
-    (1, -1, -1, -1)."""
-    return kron_all([np.array([1.0, -1.0, -1.0, -1.0])] * n)
+@functools.lru_cache(maxsize=8)  # the 7 (leg, n) keys one stokes_dense bench item asks for
+def _kron_power(leg: tuple, n: int) -> np.ndarray:
+    """leg^(x n), qubit 1 most significant, shared and read-only: (-1)^weight over the
+    Stokes index for (1, -1, -1, -1), (-1)^popcount over a matrix index for (1, -1), and
+    tomography's pooled counts for (3, 1, 1, 1). The largest, 8*4^n bytes, is a Stokes tensor's."""
+    table = kron_all([np.array(leg, dtype=float)] * n)
+    table.flags.writeable = False
+    return table
 
 
 def _block_legs(one, two, n: int) -> list:
@@ -134,7 +137,7 @@ def density_from_stokes(s: StokesTensor) -> DensityMatrix:
 def minkowski_invariant(s: StokesTensor) -> float:
     """Stokes scalar: 2^-n sum over the tensor of (-1)^weight * value^2."""
     n = s.n_qubits
-    return float(np.dot(_sign_vector(n), s.values**2) / 2**n)
+    return float(np.dot(_kron_power((1.0, -1.0, -1.0, -1.0), n), s.values**2) / 2**n)
 
 
 def euclidean_purity(s: StokesTensor) -> float:
@@ -142,17 +145,12 @@ def euclidean_purity(s: StokesTensor) -> float:
     return float(np.dot(s.values, s.values) / 2**s.n_qubits)
 
 
-def _parity_signs(n: int) -> np.ndarray:
-    """(-1)^popcount over the 2^n row (or column) indices, (1, -1)^xn."""
-    return kron_all([np.array([1.0, -1.0])] * n)
-
-
 def spin_flip(rho) -> DensityMatrix:
     """rho -> (sigma_y^xn) conj(rho) (sigma_y^xn). sigma_y^xn is a signed
     anti-diagonal permutation, so entry (r, c) is conj(rho) with rows and
     columns reversed, times (-1)^(popcount r + popcount c)."""
     rho = as_density(rho)
-    sign = _parity_signs(rho.n_qubits)
+    sign = _kron_power((1.0, -1.0), rho.n_qubits)
     out = np.conjugate(rho.matrix[::-1, ::-1])  # the one 4^n allocation
     out *= sign[:, None]
     out *= sign
@@ -160,10 +158,10 @@ def spin_flip(rho) -> DensityMatrix:
 
 
 def hs_overlap(a, b) -> float:
-    """Hilbert-Schmidt overlap Tr(a b) of two density matrices."""
-    a, b = as_density(a), as_density(b)
+    """Hilbert-Schmidt overlap Tr(a b) of two states, sizes compared before rho is built."""
     if a.n_qubits != b.n_qubits:
         raise DimensionMismatch("overlap of %d- and %d-qubit states" % (a.n_qubits, b.n_qubits))
+    a, b = as_density(a), as_density(b)
     val = complex(np.einsum("ij,ji->", a.matrix, b.matrix))
     relative = abs(val.imag) / max(1.0, abs(val.real))
     check("overlap_imag", relative, NonHermitianInput, "overlap's relative imaginary part")
@@ -182,6 +180,6 @@ def invariant_via_spinflip(rho) -> float:
     rho = as_density(rho)
     m = rho.matrix
     h = m.shape[0] // 2
-    sign = _parity_signs(rho.n_qubits)
+    sign = _kron_power((1.0, -1.0), rho.n_qubits)
     prod = m[:h] * m[h:][::-1, ::-1]
     return float(2.0 * (sign[:h] @ prod @ sign).real)

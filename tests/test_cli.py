@@ -417,6 +417,33 @@ def test_swapnet_refuses_its_shot_count_before_rho_is_built(capsys, monkeypatch)
     assert json.loads(err)["error"] == "OutOfRange"
 
 
+_DET2 = [[[2.0, 0.0], _ZERO], [_ZERO, _ONE]]  # diag(2, 1): invertible, det 2
+_BEFORE_RHO = [
+    (["invariant", "--state", "ghz:12", "--pair", "1,40"],
+     "BadSubsystem", "keep=[1, 40] invalid for 12 qubits"),
+    (["swapnet", "--state", "ghz:12", "--state-b", "bell:phi+"],
+     "DimensionMismatch", "overlap of 12- and 2-qubit states"),
+    (["filter", "--state", "ghz:12", "--ops", "DET2_OPS"],
+     "NotUnimodular", "outside the unimodular tolerance 1e-08: filter operator |det - 1| 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, error, message", _BEFORE_RHO, ids=[argv[0] for argv, _, _ in _BEFORE_RHO]
+)
+def test_state_refused_before_rho_is_built(capsys, monkeypatch, tmp_path, argv, error, message):
+    def refuse(psi):
+        raise AssertionError("a 4^12 density matrix built for a refused request")
+
+    ops = tmp_path / "det2.json"
+    ops.write_text(json.dumps({"ops": [_DET2] + [_EYE] * 11}))
+    argv = [str(ops) if a == "DET2_OPS" else a for a in argv]
+    monkeypatch.setattr(qstate.PureState, "to_density", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert json.loads(err) == {"error": error, "message": message, "code": 3}
+
+
 def _run_into(stdout, *argv):
     """The CLI in a child process whose stdout is the file descriptor `stdout`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

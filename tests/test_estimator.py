@@ -208,6 +208,16 @@ class TestTomography:
         with pytest.raises(EnsembleAnnihilated, match="least outcome total"):
             estimator.tomography_simulate(rho, shots, 0, infinite=infinite)
 
+    def test_pooled_counts_come_from_the_cached_table(self):
+        stokes._kron_power.cache_clear()
+        rho = qstate.random_mixed(3, 2, 77)
+        for _ in range(2):
+            estimator.tomography_simulate(rho, 0, 0, infinite=True)
+        info = stokes._kron_power.cache_info()
+        # the pooled counts and minkowski_invariant's sign vector, each built once
+        assert (info.misses, info.hits) == (2, 2)
+        assert not hasattr(estimator, "kron_all")
+
     def test_zero_shots_rejected(self):
         with pytest.raises(OutOfRange):
             estimator.tomography_simulate(bell(), 0, 0)

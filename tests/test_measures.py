@@ -375,11 +375,15 @@ class TestWithoutTheStokesTensor:
             sizes.append(rho.n_qubits)
             return stokes_tensor(rho)
 
-        def refuse(n):
-            raise AssertionError("a 4^n sign vector was built")
+        kron_power = stokes._kron_power
+
+        def refuse(leg, n):  # the spin-flip route still reads the 2-entry parity table
+            if len(leg) == 4:
+                raise AssertionError("a 4^n sign vector was built")
+            return kron_power(leg, n)
 
         monkeypatch.setattr(measures, "stokes_tensor", counted)
-        monkeypatch.setattr(stokes, "_sign_vector", refuse)
+        monkeypatch.setattr(stokes, "_kron_power", refuse)
         measures.measure_report(qstate.random_mixed(n, 3, 2000 + n))
         assert sizes == [1] * n
 

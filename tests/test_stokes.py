@@ -238,7 +238,7 @@ class TestMinkowskiInvariant:
     def test_sign_vector_cache_is_bounded(self):
         for n in range(1, 9):
             stokes.minkowski_invariant(stokes.stokes_tensor(qstate.maximally_mixed(n)))
-        assert stokes._sign_vector.cache_info().currsize <= 4
+        assert stokes._kron_power.cache_info().currsize <= 8
 
 
 class TestEuclideanPurity:
@@ -264,9 +264,36 @@ class TestParitySigns:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_kron_power(self, n):
         want = qstate.kron_all([np.array([1.0, -1.0])] * n)
-        got = stokes._parity_signs(n)
+        got = stokes._kron_power((1.0, -1.0), n)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+class TestKronPower:
+    """The one cached table rule: each leg's n-th Kronecker power, read-only."""
+
+    @pytest.mark.parametrize("leg", [(1.0, -1.0, -1.0, -1.0), (1.0, -1.0), (3.0, 1.0, 1.0, 1.0)])
+    def test_bits_of_the_kron_power(self, leg):
+        for n in range(1, 13):
+            want = qstate.kron_all([np.array(list(leg))] * n)
+            got = stokes._kron_power(leg, n)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            del want, got
+            stokes._kron_power.cache_clear()  # 128 MB tables at n = 12: keep none
+
+    def test_tables_are_read_only(self):
+        table = stokes._kron_power((1.0, -1.0), 3)
+        with pytest.raises(ValueError):
+            table[0] = 2.0
+        with pytest.raises(ValueError):
+            table *= -1.0
+        assert np.array_equal(stokes._kron_power((1.0, -1.0), 3), [1, -1, -1, 1, -1, 1, 1, -1])
+
+    def test_shared_and_bounded(self):
+        first = stokes._kron_power((1.0, -1.0, -1.0, -1.0), 2)
+        assert stokes._kron_power((1.0, -1.0, -1.0, -1.0), 2) is first
+        assert stokes._kron_power.cache_info().maxsize == 8
 
 
 class TestSpinFlip:

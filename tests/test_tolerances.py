@@ -1,6 +1,7 @@
 """The tolerance table in `stokesinv.errors` is the only home of a tolerance:
 no small float literal elsewhere in the package, no entry nothing reads, and
-no entry whose checks raise two exception classes."""
+no entry whose checks raise two exception classes, but for the two names
+passed into `qstate`'s Hermitian and PSD rule, which checks both."""
 
 import ast
 import math
@@ -8,7 +9,7 @@ import pathlib
 
 import pytest
 
-from stokesinv import errors
+from stokesinv import errors, qstate
 from stokesinv.errors import TOLERANCES, EnsembleAnnihilated, NonHermitianInput, check
 
 PACKAGE = pathlib.Path(errors.__file__).parent
@@ -109,6 +110,83 @@ def test_each_entry_raises_one_class():
         for name, raised in _raised_classes(path.read_text()).items():
             classes.setdefault(name, set()).update(raised)
     assert {name: raised for name, raised in classes.items() if len(raised) > 1} == {}
+
+
+def _scoped_calls(source: str) -> list:
+    """(enclosing function's name, or "<module>"; call) of every call in `source`."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            found.append((scope, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def _callee(call) -> str:
+    return getattr(call.func, "id", getattr(call.func, "attr", ""))
+
+
+def _passed_in_classes(source: str) -> dict:
+    """Enclosing function -> the exception classes of the `check` calls in it
+    whose tolerance name is passed in, not written as a string constant."""
+    classes: dict = {}
+    for scope, call in _scoped_calls(source):
+        if _callee(call) != "check":
+            continue
+        name = call.args[0]
+        if not (isinstance(name, ast.Constant) and isinstance(name.value, str)):
+            classes.setdefault(scope, set()).add(ast.unparse(call.args[2]))
+    return classes
+
+
+def _names_passed_to(source: str, funcs) -> dict:
+    """Function in `funcs` -> (caller, last argument: the tolerance name) of each call to it."""
+    passed: dict = {}
+    for scope, call in _scoped_calls(source):
+        if _callee(call) in funcs:
+            passed.setdefault(_callee(call), set()).add((scope, ast.unparse(call.args[-1])))
+    return passed
+
+
+# The checks whose tolerance name is a parameter: the Hermitian and PSD rule.
+PASSED_IN = {"_hermitian_part": {"NonHermitianInput"}, "psd_part": {"NotPositiveSemidefinite"}}
+
+
+def _merged(helper, *extra) -> dict:
+    found: dict = {}
+    for path in _modules():
+        for key, items in helper(path.read_text(), *extra).items():
+            found.setdefault(key, set()).update(items)
+    return found
+
+
+def test_passed_in_names_reach_two_checks():
+    assert _merged(_passed_in_classes) == PASSED_IN
+
+
+def test_only_psd_and_document_are_passed_in():
+    # so "psd" and "document" each raise both classes: the anti-Hermitian
+    # residue, then minus the least eigenvalue
+    assert _merged(_names_passed_to, PASSED_IN) == {
+        "_hermitian_part": {("psd_part", "name")},
+        "psd_part": {("sqrt_psd", "'psd'"), ("state_from_json", "'document'")},
+    }
+
+
+def test_lint_flags_a_third_passed_in_check():
+    source = pathlib.Path(qstate.__file__).read_text() + (
+        "\ndef clamp(t, name):\n"
+        "    check(name, -t, OutOfRange, 'minus t')\n"
+        "    return psd_part(t, 'unimodular')\n"
+    )
+    assert _passed_in_classes(source) == dict(PASSED_IN, clamp={"OutOfRange"})
+    assert ("clamp", "'unimodular'") in _names_passed_to(source, PASSED_IN)["psd_part"]
 
 
 def test_tangle_range_admits_the_amplitude_norm_slack():
