@@ -110,7 +110,8 @@ def state_from_json(doc: dict):
     # has |rho_ab| <= Tr rho, so no PSD document the trace bound passes is refused
     largest = float(np.max(np.abs(state.matrix)))
     if largest >= bound:
-        raise OutOfRange("density matrix entry %g is out of float range" % largest)
+        why = "density matrix entry %g is not below sqrt(float max / 2^%d) = %g"
+        raise OutOfRange(why % (largest, n, bound))
     # keeps sum S^2 = 2^n Tr rho^2 <= 2^n (Tr rho)^2, Tr rho^2 and Tr rho rho~ finite
     if state.trace >= bound:
         raise OutOfRange("density matrix trace %g overflows its Stokes norms" % state.trace)

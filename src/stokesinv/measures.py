@@ -104,21 +104,20 @@ def ckw_report(psi: PureState) -> dict:
     three-tangle of a pure three-qubit state, with the monogamy residuals.
 
     Pair invariants (spin-flip overlap on reduced pairs), concurrences
-    (Wootters) and one-vs-rest tangles (2 (1 - Tr rho_k^2), the reduced
-    purities of the one rho built here) each take their own route, so the
-    identities are genuine checks; the three-tangle is C2_A(BC) - C2_AB -
-    C2_AC from those values, refused below -"tangle_range".
+    (Wootters) and one-vs-rest tangles (2 (1 - Tr rho_k^2), the purities of
+    reductions taken from psi's amplitudes, with no rho built) each take their
+    own route, so the identities are genuine checks; the three-tangle is
+    C2_A(BC) - C2_AB - C2_AC from those values, refused below -"tangle_range".
     """
     if psi.n_qubits != 3:
         raise DimensionMismatch("ckw report needs 3 qubits, got %d" % psi.n_qubits)
-    rho = psi.to_density()
     rep: dict = {}
     for name, pair in _PAIRS.items():
-        reduced = partial_trace(rho, list(pair))
+        reduced = partial_trace(psi, list(pair))
         rep["S2_" + name] = invariant_via_spinflip(reduced)
         rep["C2_" + name] = concurrence(reduced) ** 2
     for name, cut in _CUTS.items():
-        rep["C2_" + name] = 2.0 * (1.0 - partial_trace(rho, [cut]).purity())
+        rep["C2_" + name] = 2.0 * (1.0 - partial_trace(psi, [cut]).purity())
     tau = rep["C2_A(BC)"] - rep["C2_AB"] - rep["C2_AC"]
     check("tangle_range", -tau, OutOfRange, "minus the three-tangle")
     rep["tau_ABC"] = float(min(max(tau, 0.0), 1.0))

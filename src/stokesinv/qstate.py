@@ -44,13 +44,6 @@ def _hold_freed_blocks() -> bool:
 _hold_freed_blocks()
 
 
-def _hermitian_part(m: np.ndarray, name: str) -> np.ndarray:
-    """(m + m^dagger) / 2, once max |m - m^dagger| passes tolerance `name`."""
-    h = m.conj().T
-    check(name, float(np.max(np.abs(m - h))), NonHermitianInput, "anti-Hermitian residue")
-    return 0.5 * (m + h)
-
-
 def kron_all(mats) -> np.ndarray:
     """Tensor product of `mats` with the first factor most significant."""
     return functools.reduce(np.kron, mats)
@@ -61,7 +54,9 @@ def psd_part(m: np.ndarray, name: str) -> np.ndarray:
     minus its least eigenvalue pass tolerance `name`. It keeps its bits when
     the least eigenvalue passes "psd" too; below that its eigenvalues are
     clipped at 0, so every later "psd" check passes it."""
-    h = _hermitian_part(m, name)
+    adj = m.conj().T
+    check(name, float(np.max(np.abs(m - adj))), NonHermitianInput, "anti-Hermitian residue")
+    h = 0.5 * (m + adj)
     least = np.linalg.eigvalsh(h)[0]
     check(name, -least, NotPositiveSemidefinite, "minus the least eigenvalue")
     if -least <= TOLERANCES["psd"]:
@@ -75,8 +70,7 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     outside tolerance "psd" and otherwise keeps its bits; its eigenvalues
     are clamped to 0."""
     vals, vecs = np.linalg.eigh(psd_part(m, "psd"))
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
 def _log2(length: int) -> int:
@@ -131,9 +125,12 @@ class DensityMatrix:
 
     @property
     def psd_ok(self) -> bool:
-        """Hermitian part PSD within tolerance "psd", recomputed (O(8^n)) on every read."""
-        least = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0]
-        return bool(-least <= TOLERANCES["psd"])
+        """Whether `psd_part(matrix, "psd")` accepts the matrix: recomputed, O(8^n), per read."""
+        try:
+            psd_part(self.matrix, "psd")
+        except (NonHermitianInput, NotPositiveSemidefinite):
+            return False
+        return True
 
     def purity(self) -> float:
         return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
@@ -145,20 +142,23 @@ def as_density(state) -> DensityMatrix:
     return state
 
 
-def partial_trace(rho, keep) -> DensityMatrix:
-    """Trace out every qubit not in `keep`, distinct 1-based indices read before rho is built."""
-    n = rho.n_qubits
+def partial_trace(state, keep) -> DensityMatrix:
+    """Trace out every qubit not in `keep`, distinct 1-based indices read first. A pure
+    state is reduced from its amplitudes and their conjugates, so no rho is built."""
+    n = state.n_qubits
     keep = sorted(keep)
     if not keep or keep[0] < 1 or keep[-1] > n or len(set(keep)) < len(keep):
         raise BadSubsystem("keep=%r invalid for %d qubits" % (keep, n))
-    rho = as_density(rho)
-    t = rho.matrix.reshape((2,) * (2 * n))
     # axes: qubit k+1's row is k, its column n+k, or k again when traced out
+    rows = list(range(n))
     col = [n + k if k + 1 in keep else k for k in range(n)]
     out = [k - 1 for k in keep] + [n + k - 1 for k in keep]
-    sub = np.einsum(t, list(range(n)) + col, out)
-    m = len(keep)
-    return DensityMatrix(sub.reshape(2**m, 2**m))
+    if isinstance(state, PureState):
+        t = state.amplitudes.reshape((2,) * n)
+        sub = np.einsum(t, rows, t.conj(), col, out)
+    else:
+        sub = np.einsum(state.matrix.reshape((2,) * (2 * n)), rows + col, out)
+    return DensityMatrix(sub.reshape(2 ** len(keep), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +228,7 @@ def schmidt_pair(theta: float) -> PureState:
     """Two-qubit state cos(theta)|00> + sin(theta)|11>."""
     if not 0 <= theta <= np.pi / 2:
         raise BadStateName("schmidt angle must be in [0, pi/2]")
-    v = np.zeros(4, dtype=complex)
-    v[0] = np.cos(theta)
-    v[3] = np.sin(theta)
-    return PureState(v)
+    return PureState([np.cos(theta), 0.0, 0.0, np.sin(theta)])
 
 
 def maximally_mixed(n: int) -> DensityMatrix:

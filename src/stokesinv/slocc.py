@@ -33,9 +33,10 @@ class LocalOperation:
                 raise DimensionMismatch("local operator must be 2x2")
             if not np.all(np.isfinite(o)):
                 raise ParseError("local operator has a non-finite entry")
-            largest = float(np.max(np.abs(o)))
-            if largest >= np.sqrt(np.finfo(float).max / 2):  # below it |det| is finite
-                raise OutOfRange("local operator entry %g is out of float range" % largest)
+            largest, bound = float(np.max(np.abs(o))), np.sqrt(np.finfo(float).max / 2)
+            if largest >= bound:  # below it |det| is finite
+                why = "local operator entry %g is not below sqrt(float max / 2) = %g"
+                raise OutOfRange(why % (largest, bound))
             check("singular", abs(np.linalg.det(o)), DimensionMismatch, "local operator |det|")
 
 
@@ -100,8 +101,10 @@ def filter_state(rho, op: LocalOperation) -> FilterReport:
     before = minkowski_invariant(stokes_tensor(rho))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow -> attenuation check
         attenuation = apply_local_to_density(rho, op).trace
-    if not attenuation < np.sqrt(np.finfo(float).max):  # NaN, inf, square overflow
-        raise OutOfRange("filter attenuation %g is out of float range" % attenuation)
+    bound = np.sqrt(np.finfo(float).max)  # NaN, inf and a 1/attenuation^2 overflow fail it
+    if not attenuation < bound:
+        why = "filter attenuation %g is not below sqrt(float max) = %g"
+        raise OutOfRange(why % (attenuation, bound))
     check("annihilation", attenuation, EnsembleAnnihilated, "filter attenuation")
     gain = 1.0 / attenuation**2
     return FilterReport(

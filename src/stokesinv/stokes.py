@@ -61,8 +61,7 @@ def _kron_power(leg: tuple, n: int) -> np.ndarray:
     Stokes index for (1, -1, -1, -1), (-1)^popcount over a matrix index for (1, -1), and
     tomography's pooled counts for (3, 1, 1, 1). The largest, 8*4^n bytes, is a Stokes tensor's."""
     table = kron_all([np.array(leg, dtype=float)] * n)
-    table.flags.writeable = False
-    return table
+    return np.frombuffer(memoryview(table).toreadonly(), dtype=float)  # no flag unlocks it
 
 
 def _block_legs(one, two, n: int) -> list:

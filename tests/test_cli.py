@@ -711,6 +711,37 @@ class TestMalformedInput:
         assert code == 4 and out == ""
         assert json.loads(err)["error"] == "NotPositiveSemidefinite"
 
+    _FLOAT_RANGE = {
+        "density-entry": (
+            "--state", {"n": 1, "matrix": [[[1e154, 0], _ZERO], [_ZERO, _ZERO]]},
+            "density matrix entry 1e+154 is not below sqrt(float max / 2^1) = %g"
+            % math.sqrt(sys.float_info.max / 2),
+        ),
+        "operator-entry": (
+            "--ops", {"ops": [[[[2e154, 0], _ZERO], [_ZERO, _ONE]], _EYE]},
+            "local operator entry 2e+154 is not below sqrt(float max / 2) = %g"
+            % math.sqrt(sys.float_info.max / 2),
+        ),
+        "attenuation": (
+            "--ops", "boost:1:a2=1e-300",
+            "filter attenuation 5e+299 is not below sqrt(float max) = %g"
+            % math.sqrt(sys.float_info.max),
+        ),
+    }
+
+    @pytest.mark.parametrize("site", list(_FLOAT_RANGE))
+    def test_float_range_refusal_names_its_bound(self, capsys, tmp_path, site):
+        option, doc, message = self._FLOAT_RANGE[site]
+        argv = {"--state": "bell:phi+", "--ops": "boost:1:a2=1"}
+        if isinstance(doc, dict):
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            doc = str(path)
+        argv[option] = doc
+        code, out, err = run(capsys, "filter", *itertools.chain(*argv.items()))
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "OutOfRange", "message": message, "code": 3}
+
     @pytest.mark.parametrize("command", ["swapnet", "tomo"])
     def test_shot_count_beyond_int64(self, capsys, command):
         code, out, err = run(capsys, command, "--state", "bell:phi+", "--shots", _HUGE)

@@ -164,17 +164,16 @@ class TestBipartiteTangle:
             8 / 9, abs=1e-12
         )
 
-    def test_report_builds_one_density_matrix(self, monkeypatch):
-        to_density = qstate.PureState.to_density
-        calls = []
+    def test_report_builds_no_density_matrix(self, monkeypatch):
+        psi = qstate.random_pure(3, 5)
+        dense = 2.0 * (1.0 - qstate.partial_trace(psi.to_density(), [1]).purity())
 
-        def counted(psi):
-            calls.append(psi)
-            return to_density(psi)
+        def refuse(psi):
+            raise AssertionError("ckw_report built the 3-qubit rho")
 
-        monkeypatch.setattr(qstate.PureState, "to_density", counted)
-        measures.ckw_report(qstate.random_pure(3, 5))
-        assert len(calls) == 1
+        monkeypatch.setattr(qstate.PureState, "to_density", refuse)
+        got = measures.ckw_report(psi)["C2_A(BC)"]
+        assert got == pytest.approx(dense, abs=4 * np.finfo(float).eps)
 
 
 class TestThreeTangle:

@@ -1,6 +1,7 @@
 """`qstate.py` is the only home of the Hermitian and PSD rule: no other
-package module calls a Hermitian eigensolver, and `cli.py` reaches the rule
-through `qstate.psd_part`, importing no private name and no tolerance."""
+package module calls a Hermitian eigensolver, `cli.py` reaches the rule
+through `qstate.psd_part`, importing no private name and no tolerance, and
+no function but `psd_part` reads the "psd" tolerance."""
 
 import ast
 import pathlib
@@ -67,3 +68,43 @@ def test_no_hermitian_eigensolver_outside_qstate(path):
 
 def test_cli_imports_no_private_name_and_no_tolerance():
     assert _private_or_tolerance_imports(pathlib.Path(cli.__file__).read_text()) == []
+
+
+def _psd_tolerance_reads(source: str) -> list:
+    """The enclosing function (or "<module>") of every `TOLERANCES["psd"]` read
+    in `source`, by name or by attribute."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if (
+            isinstance(node, ast.Subscript)
+            and getattr(node.value, "id", getattr(node.value, "attr", None)) == "TOLERANCES"
+            and isinstance(node.slice, ast.Constant)
+            and node.slice.value == "psd"
+        ):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_lint_flags_the_old_psd_ok_put_back():
+    source = (
+        "class DensityMatrix:\n"
+        "    @property\n"
+        "    def psd_ok(self) -> bool:\n"
+        "        least = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0]\n"
+        '        return bool(-least <= TOLERANCES["psd"])\n'
+        "def clip(x):\n"
+        '    return max(x, -errors.TOLERANCES["psd"], TOLERANCES["document"])\n'
+    )
+    assert _psd_tolerance_reads(source) == ["psd_ok", "clip"]
+
+
+def test_psd_tolerance_is_read_only_in_psd_part():
+    reads = {p.name: _psd_tolerance_reads(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: scopes for name, scopes in reads.items() if scopes} == {"qstate.py": ["psd_part"]}

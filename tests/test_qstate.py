@@ -1,3 +1,4 @@
+import itertools
 import os
 import platform
 import subprocess
@@ -149,6 +150,52 @@ class TestPartialTrace:
             assert red.trace == pytest.approx(1.0, abs=1e-12)
             assert np.max(np.abs(red.matrix - red.matrix.conj().T)) < 1e-12
 
+    def test_pure_state_builds_no_density_matrix(self, monkeypatch):
+        def refuse(psi):
+            raise AssertionError("partial_trace built a pure state's rho")
+
+        monkeypatch.setattr(qstate.PureState, "to_density", refuse)
+        got = qstate.partial_trace(qstate.ghz_state(12), [1, 2]).matrix
+        a = 1 / np.sqrt(2)  # each GHZ amplitude
+        assert np.array_equal(got, np.diag([a * a, 0, 0, a * a]))
+
+    def test_pure_state_peak_at_twelve_qubits(self):
+        psi = qstate.ghz_state(12)  # a 64 KiB vector, whose rho would take 256 MiB
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            qstate.partial_trace(psi, [1, 2])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    # every state here reduces to the same bits along both routes
+    _NAMED = ["bell:phi+", "bell:psi-", "schmidt:0.9", "schmidt:0.3", "basis:0110"] + [
+        "%s:%d" % (kind, n) for kind in ("ghz", "w") for n in range(2, 11)
+    ]
+
+    @pytest.mark.parametrize("spec", _NAMED)
+    def test_named_pure_states_match_the_dense_route_bit_for_bit(self, spec):
+        psi = cli.parse_state(spec)
+        rho = psi.to_density()
+        qubits = range(1, psi.n_qubits + 1)
+        for m in (1, 2):
+            for keep in itertools.combinations(qubits, m):
+                got = qstate.partial_trace(psi, keep).matrix
+                assert np.array_equal(got, qstate.partial_trace(rho, keep).matrix), keep
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_pure_states_match_the_dense_route(self, n):
+        for seed in range(4):
+            psi = qstate.random_pure(n, 160 + 10 * n + seed)
+            rho = psi.to_density()
+            for m in range(1, min(3, n) + 1):
+                for keep in itertools.combinations(range(1, n + 1), m):
+                    got = qstate.partial_trace(psi, keep).matrix
+                    want = qstate.partial_trace(rho, keep).matrix
+                    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps
+
     def test_bad_subsystem(self):
         rho = qstate.maximally_mixed(2)
         with pytest.raises(BadSubsystem):
@@ -196,6 +243,14 @@ class TestDensityMatrix:
         assert not rho.psd_ok
         rho.matrix = np.eye(2, dtype=complex) / 2
         assert rho.psd_ok
+
+    def test_psd_ok_refuses_what_psd_part_refuses(self):
+        # the Hermitian part is PSD, but the anti-Hermitian residue 1e-6 is beyond "psd"
+        m = np.array([[1, 1e-6], [0, 1]], dtype=complex)
+        assert not qstate.DensityMatrix(m).psd_ok
+        with pytest.raises(NonHermitianInput):
+            qstate.psd_part(m, "psd")
+        assert np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] > 0
 
 
 # each type from the length of its array (a matrix's side), and the base

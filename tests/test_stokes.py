@@ -290,6 +290,15 @@ class TestKronPower:
             table *= -1.0
         assert np.array_equal(stokes._kron_power((1.0, -1.0), 3), [1, -1, -1, 1, -1, 1, 1, -1])
 
+    @pytest.mark.parametrize("leg", [(1.0, -1.0, -1.0, -1.0), (1.0, -1.0), (3.0, 1.0, 1.0, 1.0)])
+    def test_the_writeable_flag_cannot_be_set(self, leg):
+        table = stokes._kron_power(leg, 3)
+        with pytest.raises(ValueError):
+            table.flags.writeable = True
+        with pytest.raises(ValueError):
+            table[0] = 5.0
+        assert np.array_equal(stokes._kron_power(leg, 3), qstate.kron_all([np.array(leg)] * 3))
+
     def test_shared_and_bounded(self):
         first = stokes._kron_power((1.0, -1.0, -1.0, -1.0), 2)
         assert stokes._kron_power((1.0, -1.0, -1.0, -1.0), 2) is first

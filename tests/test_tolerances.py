@@ -155,7 +155,7 @@ def _names_passed_to(source: str, funcs) -> dict:
 
 
 # The checks whose tolerance name is a parameter: the Hermitian and PSD rule.
-PASSED_IN = {"_hermitian_part": {"NonHermitianInput"}, "psd_part": {"NotPositiveSemidefinite"}}
+PASSED_IN = {"psd_part": {"NonHermitianInput", "NotPositiveSemidefinite"}}
 
 
 def _merged(helper, *extra) -> dict:
@@ -174,8 +174,9 @@ def test_only_psd_and_document_are_passed_in():
     # so "psd" and "document" each raise both classes: the anti-Hermitian
     # residue, then minus the least eigenvalue
     assert _merged(_names_passed_to, PASSED_IN) == {
-        "_hermitian_part": {("psd_part", "name")},
-        "psd_part": {("sqrt_psd", "'psd'"), ("state_from_json", "'document'")},
+        "psd_part": {
+            ("sqrt_psd", "'psd'"), ("psd_ok", "'psd'"), ("state_from_json", "'document'"),
+        },
     }
 
 
