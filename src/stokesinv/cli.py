@@ -227,9 +227,9 @@ def cmd_filter(args):
 
 
 def cmd_swapnet(args):
+    estimator.check_draws(args.shots, args.seed, infinite=False)  # before any state is read
     a = parse_state(args.state)
     b = None if args.state_b == "flip" else parse_state(args.state_b)
-    estimator.check_shot_range(args.shots, infinite=False)  # both before the 4^n rho
     if b is None:  # spin_flip's rho is the overlap's too; hs_overlap compares sizes first
         a = qstate.as_density(a)
         b = stokes.spin_flip(a)
@@ -237,6 +237,7 @@ def cmd_swapnet(args):
 
 
 def cmd_tomo(args):
+    estimator.check_draws(args.shots, args.seed, infinite=args.shots == 0)  # before any state
     state = parse_state(args.state)  # tomography_simulate guards its size first
     res = estimator.tomography_simulate(state, args.shots, args.seed, infinite=args.shots == 0)
     n, values = res.stokes_hat.n_qubits, res.stokes_hat.values.tolist()

@@ -65,24 +65,25 @@ class TomographyResult:
     seed: int
 
 
-def check_shot_range(shots: int, infinite: bool) -> None:
+def check_draws(shots: int, seed: int, infinite: bool) -> None:
     """Refuse as OutOfRange a shot count outside 1..2^63 - 1 (a C long), or
-    other than 0 in tomography's infinite mode."""
+    other than 0 in tomography's infinite mode, and a negative seed."""
     low, high = (0, 0) if infinite else (1, _MAX_SHOTS)
     if not low <= shots <= high:
         mode = " in infinite mode" if infinite else ""
         raise OutOfRange("shot count %d outside %d..%d%s" % (shots, low, high, mode))
+    if seed < 0:
+        raise OutOfRange("seed %d is negative" % seed)
 
 
 def swap_network_estimate(a, b, shots: int, seed: int) -> EstimateReport:
     """Estimate Tr(a b) from the interference statistics of the controlled-swap
     network, simulated at the probability level: the ancilla lands in its
     bright port with probability p0 = (1 + Tr(a b)) / 2."""
-    check_shot_range(shots, infinite=False)
+    check_draws(shots, seed, infinite=False)
     exact = hs_overlap(a, b)
     p0 = min(max(0.5 * (1.0 + exact), 0.0), 1.0)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
-    count0 = int(rng.binomial(shots, p0))
+    count0 = int(np.random.default_rng([seed]).binomial(shots, p0))
     phat = count0 / shots
     return EstimateReport(
         estimate=2.0 * phat - 1.0,
@@ -113,7 +114,7 @@ def tomography_simulate(
     a state whose trace is at most the "annihilation" floor. So is one whose
     outcome probabilities, once snapped, leave a setting's total there.
     """
-    check_shot_range(shots_per_setting, infinite)
+    check_draws(shots_per_setting, seed, infinite)
     n = rho.n_qubits
     _refuse_beyond_memory(
         24 * 6**n, "tomography of %d qubits: 24*6^%d bytes of probabilities" % (n, n)
@@ -133,10 +134,8 @@ def tomography_simulate(
     check("annihilation", totals.min(), EnsembleAnnihilated, "least outcome total of a setting")
     freqs /= totals
     if not infinite:
-        root = int(seed) & (2**63 - 1)
         for j, p in enumerate(freqs):
-            rng = np.random.default_rng(np.random.SeedSequence([root, j, 0]))
-            p[:] = rng.multinomial(shots_per_setting, p)
+            p[:] = np.random.default_rng([seed, j, 0]).multinomial(shots_per_setting, p)
     interleaved = [x for k in range(n) for x in (k, n + k)]
     t = freqs.reshape((3,) * n + (2,) * n).transpose(interleaved)
     pooled = _kron_power((3.0, 1.0, 1.0, 1.0), n)

@@ -44,15 +44,7 @@ def eof_from_tangle(tau: float) -> float:
     check("tangle_range", max(-tau, tau - 1.0), OutOfRange, "tangle's distance outside [0, 1]")
     tau = min(max(tau, 0.0), 1.0)
     x = 0.5 * (1.0 + np.sqrt(1.0 - tau))
-    return float(_binary_entropy(x))
-
-
-def _binary_entropy(x: float) -> float:
-    h = 0.0
-    for p in (x, 1.0 - x):
-        if p > 0.0:
-            h -= p * np.log2(p)
-    return h
+    return float(0.0 - sum(p * np.log2(p) for p in (x, 1.0 - x) if p > 0.0))
 
 
 @dataclass
@@ -123,13 +115,13 @@ def ckw_report(psi: PureState) -> dict:
     rep["tau_ABC"] = float(min(max(tau, 0.0), 1.0))
 
     # one-vs-rest vs pair-invariant sums, and per-pair monogamy residuals
-    rep["residual_A"] = rep["S2_AB"] + rep["S2_AC"] - rep["C2_A(BC)"]
-    rep["residual_B"] = rep["S2_AB"] + rep["S2_BC"] - rep["C2_B(AC)"]
-    rep["residual_C"] = rep["S2_AC"] + rep["S2_BC"] - rep["C2_C(AB)"]
+    for name, cut in _CUTS.items():
+        held = sum(rep["S2_" + p] for p, pair in _PAIRS.items() if cut in pair)
+        rep["residual_" + name[0]] = held - rep["C2_" + name]
     for name in _PAIRS:
         rep["residual_" + name] = (
             rep["S2_" + name] - rep["C2_" + name] - 0.5 * rep["tau_ABC"]
         )
-    worst = max(abs(rep["residual_" + k]) for k in ("A", "B", "C", "AB", "AC", "BC"))
+    worst = max(abs(v) for k, v in rep.items() if k.startswith("residual_"))
     check("monogamy", worst, IdentityViolation, "largest monogamy residual")
     return rep

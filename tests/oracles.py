@@ -123,7 +123,7 @@ def tomography_bruteforce(rho, n, shots, seed, infinite=False):
         if infinite:
             freqs, weight = probs, 1.0
         else:
-            sub = np.random.SeedSequence([int(seed) & (2**63 - 1), j, 0])
+            sub = [seed, j, 0]
             freqs = np.random.default_rng(sub).multinomial(shots, probs).astype(float)
             weight = float(shots)
         for m, digits in enumerate(components):
